@@ -53,10 +53,9 @@ commands:
                                             phases run as conservative
                                             windows, collective phases in
                                             canonical global order;
-                                            results are bit-identical to
-                                            --shards=1 = the legacy
-                                            single-engine path; see
-                                            docs/sharded-engine.md)
+                                            output is identical for
+                                            every N; not with --tenants;
+                                            see docs/sharded-engine.md)
              --jobs=N                      (run shard windows on N worker
                                             threads when --shards > 1;
                                             0 = all hardware threads;
@@ -129,6 +128,13 @@ ScenarioConfig config_from(Options& options,
   config.shards = static_cast<int>(options.get_int("shards", 1));
   CLB_CHECK_MSG(config.shards >= 1,
                 "--shards must be at least 1; got " << config.shards);
+  // The partitioned runtime has no tenant field (its burst chains live on
+  // one engine). Rejected whatever the node count, so the answer does not
+  // depend on --cores.
+  CLB_CHECK_MSG(config.shards == 1 || config.tenants == 0,
+                "--shards > 1 cannot be combined with --tenants > 0; got "
+                "--shards=" << config.shards << " --tenants="
+                            << config.tenants);
   config.lb_options.robustness.fallback_on_insane_stats =
       options.get_bool("lb-fallback", false);
   // Validate the estimator knobs here, at parse time, with errors that
@@ -253,6 +259,10 @@ int cmd_sweep(Options& options, std::ostream& out) {
 
 int cmd_timeline(Options& options, std::ostream& out) {
   ScenarioConfig config = config_from(options);
+  // The tracer is an execution observer, which needs a single engine.
+  CLB_CHECK_MSG(config.shards == 1,
+                "timeline does not support --shards > 1; got --shards="
+                    << config.shards);
   const int width = static_cast<int>(options.get_int("width", 100));
   options.check_unused();
 
@@ -282,11 +292,12 @@ int cmd_record(Options& options, std::ostream& out) {
 
   std::ofstream file{path};
   CLB_CHECK_MSG(file.good(), "cannot open " << path << " for writing");
-  auto recorder = std::make_unique<RecordingLb>(
-      make_balancer(config.balancer, config.lb_options), &file);
-  const RecordingLb* probe = recorder.get();
-  const RunResult r = run_scenario_with(config, std::move(recorder));
-  out << "recorded " << probe->windows_recorded() << " LB windows to "
+  // Borrowed, not handed over: the job that would own it is gone by the
+  // time the window count is read.
+  RecordingLb recorder{make_balancer(config.balancer, config.lb_options),
+                       &file};
+  const RunResult r = run_scenario_with(config, recorder);
+  out << "recorded " << recorder.windows_recorded() << " LB windows to "
       << path << " (run took " << r.app_elapsed.to_string() << ", "
       << r.lb_migrations << " migrations)\n";
   return 0;

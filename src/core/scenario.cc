@@ -75,15 +75,16 @@ void drive(Simulator& sim, RuntimeJob& primary, RuntimeJob* secondary,
 
 /// The shard-partitioned runtime path (config.shards > 1 on a multi-node
 /// machine): same experiment, driven by a ShardedRuntimeHost instead of a
-/// single Simulator. Construction order mirrors the legacy path step for
-/// step so the two produce bit-identical metrics (the differential tier
+/// single Simulator. Construction order mirrors the single-engine path
+/// step for step so the two produce bit-identical metrics (the differential tier
 /// in tests/sharded_runtime_test.cc pins this).
 RunResult run_scenario_sharded(const ScenarioConfig& config,
                                std::unique_ptr<LoadBalancer> balancer,
                                TimelineTracer* tracer) {
   // Observers would need a merged in-order event stream, which windows do
   // not provide; the tenant field hangs its burst chains on the single
-  // engine. Both are legacy-only until they learn shard discipline.
+  // engine. Both stay single-engine until they learn shard discipline;
+  // the CLI rejects them with --shards > 1 at parse time.
   CLB_CHECK_MSG(tracer == nullptr,
                 "timeline tracing is not supported with --shards > 1");
   CLB_CHECK_MSG(config.tenants == 0,
@@ -196,8 +197,7 @@ RunResult run_scenario_with(const ScenarioConfig& config,
 
   // --shards N on a multi-node machine takes the partitioned-runtime
   // path; everything else (including --shards=1, and shard counts that
-  // clamp to one on a single-node machine) stays on the legacy engine,
-  // bit-identical to earlier releases.
+  // clamp to one on a single-node machine) runs on a single Simulator.
   if (config.shards > 1 &&
       machine_for(config, config.app_cores).nodes > 1) {
     return run_scenario_sharded(config, std::move(balancer), tracer);

@@ -28,13 +28,13 @@ struct ScenarioConfig {
   MachineConfig machine;
 
   /// Shard count for the partitioned runtime (docs/sharded-engine.md).
-  /// <= 1 — the default — takes the legacy single-engine path, bit-identical
-  /// to earlier releases. With N > 1 the cluster's nodes are block-
+  /// <= 1 — the default — runs on a single Simulator. With N > 1 on a
+  /// multi-node machine the cluster's nodes are block-
   /// partitioned into min(N, nodes) shards, each with its own event engine
   /// and per-shard LB-database segment; compute phases run as conservative
   /// windows (width = the network's min_internode_delay) and collective
   /// phases (AtSync barriers, reductions, broadcasts) run serialized in
-  /// canonical global order. Results are bit-identical to the legacy
+  /// canonical global order. Results are bit-identical to the single
   /// engine for every shard count (pinned by tests/sharded_runtime_test.cc).
   int shards = 1;
 

@@ -8,7 +8,6 @@ namespace cloudlb {
 SmoothedInterferenceAwareLb::SmoothedInterferenceAwareLb(Options options)
     : options_{options}, estimator_{options.base.robustness} {
   CLB_CHECK(options.alpha > 0.0 && options.alpha <= 1.0);
-  CLB_CHECK(options.chare_alpha > 0.0 && options.chare_alpha <= 1.0);
 }
 
 std::vector<PeId> SmoothedInterferenceAwareLb::assign(const LbStats& stats) {
@@ -22,26 +21,6 @@ std::vector<PeId> SmoothedInterferenceAwareLb::assign(const LbStats& stats) {
     for (std::size_t p = 0; p < fresh.size(); ++p)
       ewma_[p] = options_.alpha * fresh[p] + (1.0 - options_.alpha) * ewma_[p];
   }
-  // Optionally smooth the chare loads as well, feeding the refinement a
-  // modified copy of the window.
-  if (options_.chare_alpha < 1.0) {
-    if (chare_ewma_.size() != stats.chares.size()) {
-      chare_ewma_.resize(stats.chares.size());
-      for (std::size_t c = 0; c < stats.chares.size(); ++c)
-        chare_ewma_[c] = stats.chares[c].cpu_sec;
-    } else {
-      for (std::size_t c = 0; c < stats.chares.size(); ++c)
-        chare_ewma_[c] = options_.chare_alpha * stats.chares[c].cpu_sec +
-                         (1.0 - options_.chare_alpha) * chare_ewma_[c];
-    }
-    LbStats smoothed = stats;
-    for (std::size_t c = 0; c < smoothed.chares.size(); ++c)
-      smoothed.chares[c].cpu_sec = chare_ewma_[c];
-    return refine_assignment(smoothed, ewma_,
-                             make_refinement_options(options_.base))
-        .assignment;
-  }
-
   // Normalize to the current window length: the EWMA mixes windows of
   // (slightly) different wall lengths, which refinement tolerates since
   // loads only matter relative to T_avg.

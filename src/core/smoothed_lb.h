@@ -30,11 +30,6 @@ class SmoothedInterferenceAwareLb final : public LoadBalancer {
   struct Options {
     LbOptions base;
     double alpha = 0.5;  ///< EWMA weight of the newest window, in (0, 1]
-
-    /// Optional smoothing of per-chare loads with the same scheme
-    /// (1.0 = the paper's last-window persistence). Useful when chare
-    /// loads themselves drift, e.g. Mol3D's migrating particles.
-    double chare_alpha = 1.0;
   };
 
   explicit SmoothedInterferenceAwareLb(Options options);
@@ -46,17 +41,10 @@ class SmoothedInterferenceAwareLb final : public LoadBalancer {
   /// Current smoothed per-PE estimate (diagnostics/tests).
   const std::vector<double>& smoothed_background() const { return ewma_; }
 
-  /// Current smoothed per-chare loads (empty until the first window, or
-  /// always empty when chare_alpha == 1).
-  const std::vector<double>& smoothed_chare_loads() const {
-    return chare_ewma_;
-  }
-
  private:
   Options options_;
   ProactiveBackgroundEstimator estimator_;
   std::vector<double> ewma_;
-  std::vector<double> chare_ewma_;
 };
 
 }  // namespace cloudlb

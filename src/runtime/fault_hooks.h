@@ -38,9 +38,10 @@ struct MigrationAttempt {
 /// invoked only from serialized global phases (LB barriers), never from
 /// inside a conservative window, so a single-threaded implementation is
 /// sufficient even when windows run on a worker team. The call sequence
-/// in sharded mode matches the legacy engine's (decision order at the
-/// barrier instant, retries in chronological order), which is what keeps
-/// seeded fault schedules identical across `--shards` values.
+/// is the same for every shard count (decision order at the barrier
+/// instant; retries in chronological order, same-instant retries in
+/// chare order), which is what keeps seeded fault schedules identical
+/// across `--shards` values.
 class FaultHooks {
  public:
   virtual ~FaultHooks() = default;

@@ -21,9 +21,11 @@ static std::uint64_t chare_rank(std::size_t c) {
   return static_cast<std::uint64_t>(c) + 1;
 }
 
-RuntimeJob::RuntimeJob(Simulator& sim, VirtualMachine& vm, JobConfig config,
+RuntimeJob::RuntimeJob(Simulator* sim, ShardedRuntimeHost* host,
+                       VirtualMachine& vm, JobConfig config,
                        std::unique_ptr<LoadBalancer> balancer)
-    : sim_{&sim},
+    : sim_{sim},
+      host_{host},
       vm_{vm},
       config_{std::move(config)},
       balancer_{std::move(balancer)} {
@@ -32,46 +34,36 @@ RuntimeJob::RuntimeJob(Simulator& sim, VirtualMachine& vm, JobConfig config,
   CLB_CHECK(config_.lb_period >= 0);
   CLB_CHECK(config_.pack_sec_per_byte >= 0.0);
   CLB_CHECK(config_.unpack_sec_per_byte >= 0.0);
+  CLB_CHECK(config_.migration_retry_backoff > SimTime::zero());
+  if (host_ != nullptr) host_->register_job(this);
 }
+
+RuntimeJob::RuntimeJob(Simulator& sim, VirtualMachine& vm, JobConfig config,
+                       std::unique_ptr<LoadBalancer> balancer)
+    : RuntimeJob{&sim, nullptr, vm, std::move(config), std::move(balancer)} {}
 
 RuntimeJob::RuntimeJob(ShardedRuntimeHost& host, VirtualMachine& vm,
                        JobConfig config, std::unique_ptr<LoadBalancer> balancer)
-    : host_{&host},
-      vm_{vm},
-      config_{std::move(config)},
-      balancer_{std::move(balancer)} {
-  CLB_CHECK_MSG(balancer_ != nullptr,
-                "a balancer is required; use NullLb for the noLB baseline");
-  CLB_CHECK(config_.lb_period >= 0);
-  CLB_CHECK(config_.pack_sec_per_byte >= 0.0);
-  CLB_CHECK(config_.unpack_sec_per_byte >= 0.0);
-  CLB_CHECK_MSG(config_.router == nullptr,
-                "JobConfig::router is the legacy single-engine window shim; "
-                "the sharded host speaks the window protocol natively");
-  host_->register_job(this);
-}
+    : RuntimeJob{nullptr, &host, vm, std::move(config), std::move(balancer)} {}
 
 RuntimeJob::~RuntimeJob() = default;
 
 Simulator& RuntimeJob::sim() {
-  CLB_CHECK_MSG(sim_ != nullptr, "sim() is legacy-mode only");
+  CLB_CHECK_MSG(sim_ != nullptr, "sim() needs a job built on a Simulator");
   return *sim_;
 }
 
-ShardedRuntimeHost& RuntimeJob::host() {
-  CLB_CHECK_MSG(host_ != nullptr, "host() is sharded-mode only");
-  return *host_;
+EngineCore& RuntimeJob::engine_of_shard(int shard) const {
+  if (host_ == nullptr) return *sim_;
+  return host_->engine_of_shard(shard);
 }
 
-EngineCore& RuntimeJob::engine_of_pe(PeId pe) const {
-  CLB_CHECK(host_ != nullptr);
-  return host_->engine_of_shard(shard_of_pe(pe));
+bool RuntimeJob::in_window() const {
+  return host_ != nullptr && host_->in_window();
 }
 
-SimTime RuntimeJob::ctx_now(PeId pe) const {
-  if (sim_ != nullptr) return sim_->now();
-  if (host_->in_window()) return engine_of_pe(pe).now();
-  return host_->global_now();
+SimTime RuntimeJob::global_now() const {
+  return host_ != nullptr ? host_->global_now() : sim_->now();
 }
 
 ChareId RuntimeJob::add_chare(std::unique_ptr<Chare> chare) {
@@ -88,7 +80,7 @@ void RuntimeJob::start() {
   CLB_CHECK_MSG(!started_, "job already started");
   CLB_CHECK_MSG(!chares_.empty(), "job has no chares");
   started_ = true;
-  start_time_ = sharded() ? host_->global_now() : sim_->now();
+  start_time_ = global_now();
 
   const auto num_chares = chares_.size();
   const auto num_pes = static_cast<std::size_t>(vm_.num_vcpus());
@@ -109,18 +101,20 @@ void RuntimeJob::start() {
   nic_free_at_.assign(static_cast<std::size_t>(vm_.machine().num_nodes()),
                       SimTime::zero());
 
-  if (sharded()) {
+  // PEs follow their cores' nodes onto the host's shards; a Simulator is
+  // one shard holding everything.
+  int shards = 1;
+  shard_of_pe_.assign(num_pes, 0);
+  if (host_ != nullptr) {
     CLB_CHECK_MSG(observer_ == nullptr,
-                  "execution observers are a legacy-engine facility; the "
+                  "execution observers need a job built on a Simulator; the "
                   "sharded runtime would invoke them from worker threads");
-    shard_of_pe_.resize(num_pes);
+    shards = host_->shards();
     for (std::size_t p = 0; p < num_pes; ++p)
       shard_of_pe_[p] = host_->shard_of_core(vm_.core_of(static_cast<int>(p)));
-    part_ = std::make_unique<ShardPartition>(host_->shards(), num_chares);
-    shard_summaries_.clear();
-  } else {
-    db_.reset(num_chares);
   }
+  part_ = std::make_unique<ShardPartition>(shards, num_chares);
+  shard_summaries_.clear();
   reset_lb_window();
 
   for (auto& chare : chares_) chare->on_start();
@@ -152,7 +146,7 @@ SimTime RuntimeJob::cpu_consumed() const {
 
 RuntimeJob::Counters RuntimeJob::counters() const {
   Counters c = counters_;
-  if (sharded() && part_ != nullptr) {
+  if (part_ != nullptr) {
     c.tasks_executed = part_->tasks_total();
     c.messages_sent = part_->messages_total();
   }
@@ -176,10 +170,7 @@ void RuntimeJob::send(ChareId from, ChareId to, int tag,
                                kMessageEnvelopeBytes;
   const PeId from_pe = pe_of(from);
   const PeId to_pe = pe_of(to);
-  if (sharded())
-    ++part_->seg(shard_of_pe(from_pe)).messages_sent;
-  else
-    ++counters_.messages_sent;
+  ++part_->seg(shard_of_pe(from_pe)).messages_sent;
 
   const CoreId src_core = core_of_pe(from_pe);
   const CoreId dst_core = core_of_pe(to_pe);
@@ -193,33 +184,22 @@ void RuntimeJob::send(ChareId from, ChareId to, int tag,
 
 void RuntimeJob::route_to(PeId from_pe, PeId to_pe, SimTime base,
                           SimTime delay, std::function<void()> cb) {
-  if (!sharded()) {
-    const int src_node = vm_.machine().node_of(core_of_pe(from_pe));
-    const int dst_node = vm_.machine().node_of(core_of_pe(to_pe));
-    if (config_.router != nullptr &&
-        config_.router->crosses_shards(src_node, dst_node)) {
-      config_.router->route(src_node, dst_node, base + delay, std::move(cb));
-      return;
-    }
-    sim_->schedule_after(delay, std::move(cb));
-    return;
-  }
   const int src_shard = shard_of_pe(from_pe);
   const int dst_shard = shard_of_pe(to_pe);
-  if (host_->in_window() && src_shard != dst_shard) {
+  if (in_window() && src_shard != dst_shard) {
     // Mid-window the caller sits on the source shard whose clock is
     // `base`, so the windowed channel delivers at base + delay; delay is
     // at least the inter-node latency, which lower-bounds the window.
     host_->post(src_shard, dst_shard, delay, std::move(cb));
     return;
   }
-  // Global phases, setup and timed actions run serialized on the driving
-  // thread (or mid-window within one shard): direct scheduling is
-  // deterministic, and the destination clock is at or behind base. The
-  // send stamp is `base` — the sender's instant — so same-time arrivals
-  // at the destination interleave by send order, as on a single engine.
-  host_->engine_of_shard(dst_shard).schedule_at_stamped(base + delay, base,
-                                                        std::move(cb));
+  // Outside windows everything runs serialized (global phases, setup,
+  // timed actions), and mid-window this is shard-local: direct
+  // scheduling is deterministic, and the destination clock is at or
+  // behind base. The send stamp is `base` — the sender's instant — so
+  // same-time arrivals at the destination interleave by send order, as
+  // on a single engine.
+  engine_of_pe(to_pe).schedule_at_stamped(base + delay, base, std::move(cb));
 }
 
 SimTime RuntimeJob::network_delay(CoreId src, CoreId dst, std::size_t bytes,
@@ -273,15 +253,10 @@ void RuntimeJob::start_next_task(PeId pe) {
 
   vm_.demand(pe, cost,
              [this, pe, begin, cost, m = std::move(msg)]() mutable {
-               if (sharded()) {
-                 auto& seg = part_->seg(shard_of_pe(pe));
-                 seg.db.record_task(m.dest, cost.to_seconds());
-                 seg.window_cpu_sec += cost.to_seconds();
-                 ++seg.tasks_executed;
-               } else {
-                 db_.record_task(m.dest, cost.to_seconds());
-                 ++counters_.tasks_executed;
-               }
+               auto& seg = part_->seg(shard_of_pe(pe));
+               seg.db.record_task(m.dest, cost.to_seconds());
+               seg.window_cpu_sec += cost.to_seconds();
+               ++seg.tasks_executed;
                if (observer_ != nullptr)
                  observer_->on_task_executed(*this, pe, core_of_pe(pe),
                                              m.dest, m.tag, begin,
@@ -298,21 +273,6 @@ void RuntimeJob::at_sync(ChareId chare) {
                 "at_sync called but lb_period is 0 (balancing disabled)");
   CLB_CHECK(!lb_in_progress_);
   CLB_CHECK(!chare_done_[static_cast<std::size_t>(chare)]);
-  if (!sharded()) {
-    ++sync_count_;
-    const std::size_t live = chares_.size() - finished_chares_;
-    CLB_CHECK(sync_count_ <= live);
-    if (sync_count_ == live) {
-      sync_count_ = 0;
-      lb_in_progress_ = true;
-      // The gather/decide/broadcast of the LB framework is real CPU work
-      // on the master PE — if that core is interfered, the decision itself
-      // slows down, exactly as it would in the paper's setup.
-      enqueue_service(0, config_.lb_decision_overhead,
-                      [this] { run_lb_step(); });
-    }
-    return;
-  }
   const PeId pe = pe_of(chare);
   auto& seg = part_->seg(shard_of_pe(pe));
   const SimTime t = ctx_now(pe);
@@ -321,7 +281,7 @@ void RuntimeJob::at_sync(ChareId chare) {
   // Mid-window only the shard-local subtotal is touched; completion is
   // detected at the barrier (merge_window_state) or, in a global phase,
   // right here with the merged counts.
-  if (!host_->in_window()) maybe_complete_sync_wave(t);
+  if (!in_window()) maybe_complete_sync_wave(t);
 }
 
 void RuntimeJob::maybe_complete_sync_wave(SimTime t) {
@@ -332,41 +292,25 @@ void RuntimeJob::maybe_complete_sync_wave(SimTime t) {
 }
 
 void RuntimeJob::begin_lb_barrier(SimTime t) {
-  (void)t;  // == host_->global_now(): asserted below
-  CLB_CHECK(t == host_->global_now());
+  (void)t;  // == global_now(): asserted below
+  CLB_CHECK(t == global_now());
   part_->clear_sync();
   lb_in_progress_ = true;
+  // The gather/decide/broadcast of the LB framework is real CPU work on
+  // the master PE — if that core is interfered, the decision itself slows
+  // down, exactly as it would in the paper's setup.
   enqueue_service(0, config_.lb_decision_overhead, [this] { run_lb_step(); });
 }
 
 void RuntimeJob::contribute(ChareId chare, double value) {
   CLB_CHECK(!lb_in_progress_);
   CLB_CHECK(!chare_done_[static_cast<std::size_t>(chare)]);
-  if (!sharded()) {
-    reduction_sum_ += value;
-    ++reduction_count_;
-    const std::size_t live = chares_.size() - finished_chares_;
-    CLB_CHECK_MSG(reduction_count_ <= live,
-                  "more contributions than live chares in one reduction");
-    if (reduction_count_ == live) {
-      const double result = reduction_sum_;
-      reduction_count_ = 0;
-      reduction_sum_ = 0.0;
-      sim_->schedule_after(config_.reduction_latency, [this, result] {
-        for (std::size_t c = 0; c < chares_.size(); ++c) {
-          if (chare_done_[c]) continue;
-          chares_[c]->on_reduction_result(result);
-        }
-      });
-    }
-    return;
-  }
   const PeId pe = pe_of(chare);
   auto& seg = part_->seg(shard_of_pe(pe));
   const SimTime t = ctx_now(pe);
   seg.contributions.emplace_back(t, value);
   ++seg.red_count;
-  if (!host_->in_window()) maybe_complete_reduction(t);
+  if (!in_window()) maybe_complete_reduction(t);
 }
 
 void RuntimeJob::maybe_complete_reduction(SimTime t) {
@@ -381,21 +325,20 @@ void RuntimeJob::maybe_complete_reduction(SimTime t) {
 }
 
 void RuntimeJob::complete_reduction(SimTime t, double result) {
-  CLB_CHECK(t == host_->global_now());
+  CLB_CHECK(t == global_now());
   // One broadcast event per shard at the same instant, each delivering to
   // its own live chares in index order — the shard-local half of the
   // broadcast tree. Executed in (time, shard) order by the global phase,
-  // which broadcasts_pending_ keeps active until the last one ran. The
-  // legacy broadcast is ONE event delivering in chare index order, so
-  // each chare's deliveries are ranked individually: without the
-  // override, everything the whole shard schedules would share the
-  // broadcast event's rank and same-(time, stamp) sends from different
-  // shards would interleave shard-major instead of by chare.
+  // which broadcasts_pending_ keeps active until the last one ran. Each
+  // chare's deliveries are ranked individually: without the override,
+  // everything the whole shard schedules would share the broadcast
+  // event's rank and same-(time, stamp) sends from different shards
+  // would interleave shard-major instead of by chare.
   for (int s = 0; s < part_->shards(); ++s) {
     ++broadcasts_pending_;
-    host_->engine_of_shard(s).schedule_at_stamped(
+    engine_of_shard(s).schedule_at_stamped(
         t + config_.reduction_latency, t, [this, s, result] {
-          EngineCore& eng = host_->engine_of_shard(s);
+          EngineCore& eng = engine_of_shard(s);
           for (std::size_t c = 0; c < chares_.size(); ++c) {
             if (chare_done_[c]) continue;
             if (shard_of_pe(assignment_[c]) != s) continue;
@@ -409,7 +352,7 @@ void RuntimeJob::complete_reduction(SimTime t, double result) {
 
 LbStats RuntimeJob::collect_stats() const {
   LbStats stats;
-  const SimTime now = sharded() ? host_->global_now() : sim_->now();
+  const SimTime now = global_now();
   stats.pes.resize(pes_.size());
   for (std::size_t p = 0; p < pes_.size(); ++p) {
     PeSample& s = stats.pes[p];
@@ -425,8 +368,7 @@ LbStats RuntimeJob::collect_stats() const {
     ChareSample& s = stats.chares[c];
     s.chare = static_cast<ChareId>(c);
     s.pe = assignment_[c];
-    s.cpu_sec = sharded() ? part_->chare_cpu(static_cast<ChareId>(c))
-                          : db_.chare_cpu(static_cast<ChareId>(c));
+    s.cpu_sec = part_->chare_cpu(static_cast<ChareId>(c));
     s.bytes = chares_[c]->footprint_bytes();
     stats.pes[static_cast<std::size_t>(s.pe)].task_cpu_sec += s.cpu_sec;
   }
@@ -445,9 +387,8 @@ void RuntimeJob::run_lb_step() {
   if (config_.faults != nullptr) config_.faults->perturb_stats(stats);
   // LB-step cadence of the shard summaries: aggregate exactly the
   // snapshot the strategy is about to see.
-  if (sharded())
-    shard_summaries_ =
-        shard_summaries_from_stats(stats, shard_of_pe_, part_->shards());
+  shard_summaries_ =
+      shard_summaries_from_stats(stats, shard_of_pe_, part_->shards());
   std::vector<PeId> new_assignment = balancer_->assign(stats);
   CLB_CHECK_MSG(new_assignment.size() == chares_.size(),
                 "balancer returned a mapping of the wrong size");
@@ -508,8 +449,8 @@ void RuntimeJob::attempt_migration(ChareId chare, PeId from, PeId to,
   // Work done before the failure point is genuinely burned — a failed
   // migration still cost its pack CPU, a partial one its transfer too.
   // Drawn here — at decision time for attempt 0, at retry time after a
-  // backoff — the call order matches the legacy engine's in both modes,
-  // which keeps seeded fault schedules identical across shard counts.
+  // backoff — in global event order, which every shard count shares, so
+  // seeded fault schedules are shard-independent.
   const MigrationFault fault =
       config_.faults != nullptr
           ? config_.faults->on_migration({chare, from, to, attempt})
@@ -523,9 +464,9 @@ void RuntimeJob::attempt_migration(ChareId chare, PeId from, PeId to,
   const SimTime unpack =
       SimTime::from_seconds(config_.unpack_sec_per_byte *
                             static_cast<double>(bytes));
-  // The NIC ledger advances here, at the same instant and in the same
-  // move order the legacy engine uses.
-  const SimTime now = sharded() ? host_->global_now() : sim_->now();
+  // The NIC ledger advances here, at the decision (or retry) instant, in
+  // move order.
+  const SimTime now = global_now();
   const SimTime transfer =
       network_delay(core_of_pe(from), core_of_pe(to), bytes, now);
 
@@ -542,25 +483,11 @@ void RuntimeJob::attempt_migration(ChareId chare, PeId from, PeId to,
           }
           enqueue_service(to, unpack, [this] { migration_done(); });
         };
-        if (sharded()) {
-          // Migrations run only in global phases, where direct
-          // cross-engine scheduling is deterministic.
-          const SimTime sent = host_->global_now();
-          engine_of_pe(to).schedule_at_stamped(sent + transfer, sent,
-                                               std::move(arrive));
-          return;
-        }
-        // Migration state crossing a shard boundary rides the same
-        // windowed channel as messages — it is just bigger cargo.
-        const int src_node = vm_.machine().node_of(core_of_pe(from));
-        const int dst_node = vm_.machine().node_of(core_of_pe(to));
-        if (config_.router != nullptr &&
-            config_.router->crosses_shards(src_node, dst_node)) {
-          config_.router->route(src_node, dst_node, sim_->now() + transfer,
-                                std::move(arrive));
-        } else {
-          sim_->schedule_after(transfer, std::move(arrive));
-        }
+        // Migrations run only outside windows, where direct
+        // cross-engine scheduling is deterministic.
+        const SimTime sent = global_now();
+        engine_of_pe(to).schedule_at_stamped(sent + transfer, sent,
+                                             std::move(arrive));
       });
 }
 
@@ -577,13 +504,14 @@ void RuntimeJob::retry_or_abandon(ChareId chare, PeId from, PeId to,
     auto retry = [this, chare, from, to, attempt] {
       attempt_migration(chare, from, to, attempt + 1);
     };
-    if (sharded()) {
-      const SimTime sent = host_->global_now();
-      engine_of_pe(from).schedule_at_stamped(sent + backoff, sent,
-                                             std::move(retry));
-    } else {
-      sim_->schedule_after(backoff, std::move(retry));
-    }
+    // Ranked by chare: retries that fail at the same instant redraw
+    // their fault verdicts in chare order on every shard count, whichever
+    // engine saw the failures first. Backoff is positive, so the rank
+    // never orders the retry before the event scheduling it.
+    const SimTime sent = global_now();
+    engine_of_pe(from).schedule_at_ranked(
+        sent + backoff, sent, chare_rank(static_cast<std::size_t>(chare)),
+        std::move(retry));
     return;
   }
   // Out of retries: the source copy stays authoritative, so the chare is
@@ -602,16 +530,13 @@ void RuntimeJob::retry_or_abandon(ChareId chare, PeId from, PeId to,
 void RuntimeJob::enqueue_service(PeId pe, SimTime cpu,
                                  std::function<void()> done) {
   CLB_CHECK_MSG(lb_in_progress_, "runtime services run only at LB barriers");
-  if (!sharded()) {
-    push_service(pe, cpu, std::move(done));
-    return;
-  }
   // Teleport to the PE's own engine: the service demand must anchor on
   // the clock of the engine owning that PE's core, which in a global
   // phase sits exactly at the global instant when the event fires. Same-
   // instant events on one engine run in schedule order, so multiple
-  // services pushed to one PE keep their (legacy) enqueue order.
-  const SimTime sent = host_->global_now();
+  // services pushed to one PE keep their enqueue order. On a Simulator
+  // the hop is a zero-delay event on the same engine.
+  const SimTime sent = global_now();
   engine_of_pe(pe).schedule_at_stamped(
       sent, sent, [this, pe, cpu, done = std::move(done)]() mutable {
         push_service(pe, cpu, std::move(done));
@@ -672,8 +597,7 @@ void RuntimeJob::validate_invariants() const {
     if (chare_done_[c]) ++done;
   }
   const std::size_t finished_count =
-      sharded() && part_ != nullptr ? part_->finished_total()
-                                    : finished_chares_;
+      part_ != nullptr ? part_->finished_total() : 0;
   CLB_CHECK_MSG(done == finished_count,
                 "finished-chare counter " << finished_count
                                           << " disagrees with " << done
@@ -707,12 +631,14 @@ void RuntimeJob::validate_invariants() const {
     }
   }
 
-  // Partition-consistency audit (sharded mode): the per-shard segments
-  // must agree with each other and with their own databases.
-  if (sharded() && part_ != nullptr) {
-    CLB_CHECK_MSG(part_->shards() == host_->shards(),
-                  "partition has " << part_->shards() << " segments for "
-                                   << host_->shards() << " shards");
+  // Partition-consistency audit: the per-shard segments must agree with
+  // each other and with their own databases.
+  if (part_ != nullptr) {
+    CLB_CHECK(shard_of_pe_.size() == pes_.size());
+    for (const int s : shard_of_pe_)
+      CLB_CHECK_MSG(s >= 0 && s < part_->shards(),
+                    "PE mapped to shard " << s << " of a " << part_->shards()
+                                          << "-segment partition");
     CLB_CHECK_MSG(part_->sync_total() <= chares_.size() - finished_count,
                   "more chares at the barrier than live chares");
     for (int s = 0; s < part_->shards(); ++s) {
@@ -750,39 +676,32 @@ void RuntimeJob::resume_all() {
   }
   reset_lb_window();
   lb_in_progress_ = false;
-  if (!sharded()) {
-    for (std::size_t c = 0; c < chares_.size(); ++c) {
-      if (chare_done_[c]) continue;
-      sim_->schedule_after(SimTime::zero(), [this, c] {
-        chares_[c]->on_resume_sync();
-      });
-    }
-    return;
-  }
   // Zero-delay resumes on each chare's own engine, scheduled in chare
   // index order. Within one shard that is also execution order, and
   // chares on different shards live on different nodes, so nothing that
   // shares a NIC or core reorders — but the resumes all fire at the same
   // instant with the same stamp, so their downstream sends can tie on
-  // (time, stamp) at a common destination. The rank (chare index, as the
-  // legacy loop inserts) carries the legacy interleave across shards;
-  // every event a resume continuation schedules inherits it.
-  const SimTime t = host_->global_now();
+  // (time, stamp) at a common destination. The rank (chare index) carries
+  // one interleave across every shard count; every event a resume
+  // continuation schedules inherits it. The ranks start above the running
+  // event's own: completions arrive by zero-delay events, so that event
+  // is keyed (t, t, base), and lower ranks would order the burst before
+  // it. Every engine reports the running event's rank, so the base is the
+  // same on every shard count.
+  const SimTime t = global_now();
+  const std::uint64_t base = engine_of_pe(0).inherited_rank();
   for (std::size_t c = 0; c < chares_.size(); ++c) {
     if (chare_done_[c]) continue;
     engine_of_pe(assignment_[c])
-        .schedule_at_ranked(t, t, chare_rank(c), [this, c] {
+        .schedule_at_ranked(t, t, base + chare_rank(c), [this, c] {
           chares_[c]->on_resume_sync();
         });
   }
 }
 
 void RuntimeJob::reset_lb_window() {
-  const SimTime now = sharded() ? host_->global_now() : sim_->now();
-  if (sharded())
-    part_->clear_windows();
-  else
-    db_.clear_window();
+  const SimTime now = global_now();
+  part_->clear_windows();
   for (std::size_t p = 0; p < pes_.size(); ++p) {
     pes_[p].window_start = now;
     pes_[p].idle_anchor = sampled_idle_at(static_cast<PeId>(p), now);
@@ -792,19 +711,6 @@ void RuntimeJob::reset_lb_window() {
 void RuntimeJob::report_iteration(ChareId chare, int iteration) {
   CLB_CHECK(iteration >= 0);
   const auto it = static_cast<std::size_t>(iteration);
-  if (!sharded()) {
-    (void)chare;
-    if (iteration_reports_.size() <= it) {
-      iteration_reports_.resize(it + 1, 0);
-      iteration_times_.resize(it + 1, SimTime::zero());
-    }
-    if (++iteration_reports_[it] == static_cast<int>(chares_.size())) {
-      iteration_times_[it] = sim_->now();
-      if (observer_ != nullptr)
-        observer_->on_iteration_complete(*this, iteration, sim_->now());
-    }
-    return;
-  }
   const PeId pe = pe_of(chare);
   auto& seg = part_->seg(shard_of_pe(pe));
   if (seg.iteration_reports.size() <= it) {
@@ -813,37 +719,55 @@ void RuntimeJob::report_iteration(ChareId chare, int iteration) {
   }
   ++seg.iteration_reports[it];
   seg.iteration_last_times[it] = ctx_now(pe);  // monotone within a shard
+  // Outside a window the merged tally is exact, so the iteration
+  // completes at this very report; in-window reports are merged by
+  // finalize_shard_state.
+  if (!in_window() && merge_iteration(it) && observer_ != nullptr)
+    observer_->on_iteration_complete(*this, iteration, global_now());
+}
+
+bool RuntimeJob::merge_iteration(std::size_t it) {
+  int reports = 0;
+  SimTime last = SimTime::zero();
+  for (int s = 0; s < part_->shards(); ++s) {
+    const ShardSegment& seg = part_->seg(s);
+    if (seg.iteration_reports.size() <= it) continue;
+    reports += seg.iteration_reports[it];
+    last = std::max(last, seg.iteration_last_times[it]);
+  }
+  if (iteration_times_.size() <= it) iteration_times_.resize(it + 1);
+  // Only fully-reported iterations get a time.
+  if (reports != static_cast<int>(chares_.size())) return false;
+  iteration_times_[it] = last;
+  return true;
 }
 
 void RuntimeJob::chare_finished(ChareId chare) {
   CLB_CHECK(!chare_done_[static_cast<std::size_t>(chare)]);
   chare_done_[static_cast<std::size_t>(chare)] = 1;
-  if (!sharded()) {
-    ++finished_chares_;
-    if (finished_chares_ == chares_.size()) {
-      finished_ = true;
-      finish_time_ = sim_->now();
-      CLB_INFO(name() << " finished at " << finish_time_.to_string());
-    }
-    return;
-  }
   const PeId pe = pe_of(chare);
   auto& seg = part_->seg(shard_of_pe(pe));
   ++seg.finished_chares;
   seg.last_finish_time = ctx_now(pe);
-  // A partial finish forces global phases (needs_global_phase), so by
-  // the time the *last* chare finishes we are serialized and the finish
-  // instant is exact. The only other route is the all-in-one-window case
-  // handled by merge_window_state's rewind recovery.
-  if (!host_->in_window() && part_->finished_total() == chares_.size()) {
-    finished_ = true;
-    finish_time_ = ctx_now(pe);
+  // On a host a partial finish forces global phases (needs_global_phase),
+  // so by the time the *last* chare finishes we are serialized and the
+  // finish instant is exact. The only other route is the all-in-one-
+  // window case handled by merge_window_state's rewind recovery.
+  if (!in_window() && part_->finished_total() == chares_.size())
+    mark_finished(global_now());
+}
+
+void RuntimeJob::mark_finished(SimTime t) {
+  finished_ = true;
+  finish_time_ = t;
+  if (host_ != nullptr)
     host_->note_job_finished(*this);
-  }
+  else
+    CLB_INFO(name() << " finished at " << finish_time_.to_string());
 }
 
 bool RuntimeJob::needs_global_phase() const {
-  CLB_CHECK(sharded());
+  CLB_CHECK(host_ != nullptr);
   if (!started_ || finished_) return false;
   if (lb_in_progress_ || broadcasts_pending_ > 0) return true;
   return part_->sync_total() > 0 || part_->red_total() > 0 ||
@@ -851,7 +775,7 @@ bool RuntimeJob::needs_global_phase() const {
 }
 
 void RuntimeJob::merge_window_state() {
-  CLB_CHECK(sharded());
+  CLB_CHECK(host_ != nullptr);
   CLB_CHECK(!host_->in_window());
   if (!started_ || finished_) return;
   refresh_barrier_summaries();
@@ -893,9 +817,7 @@ void RuntimeJob::merge_window_state() {
   } else if (fin == chares_.size()) {
     const SimTime t = part_->max_finish_time();
     host_->recover_to(t);
-    finished_ = true;
-    finish_time_ = t;
-    host_->note_job_finished(*this);
+    mark_finished(t);
   }
 }
 
@@ -932,25 +854,12 @@ void RuntimeJob::refresh_barrier_summaries() {
 }
 
 void RuntimeJob::finalize_shard_state() {
-  if (!sharded() || !started_) return;
+  CLB_CHECK(host_ != nullptr);
+  if (!started_) return;
   std::size_t max_it = 0;
   for (int s = 0; s < part_->shards(); ++s)
     max_it = std::max(max_it, part_->seg(s).iteration_reports.size());
-  iteration_reports_.assign(max_it, 0);
-  iteration_times_.assign(max_it, SimTime::zero());
-  std::vector<SimTime> last(max_it, SimTime::zero());
-  for (int s = 0; s < part_->shards(); ++s) {
-    const ShardSegment& seg = part_->seg(s);
-    for (std::size_t it = 0; it < seg.iteration_reports.size(); ++it) {
-      iteration_reports_[it] += seg.iteration_reports[it];
-      last[it] = std::max(last[it], seg.iteration_last_times[it]);
-    }
-  }
-  for (std::size_t it = 0; it < max_it; ++it) {
-    // As in legacy mode, only fully-reported iterations get a time.
-    if (iteration_reports_[it] == static_cast<int>(chares_.size()))
-      iteration_times_[it] = last[it];
-  }
+  for (std::size_t it = 0; it < max_it; ++it) merge_iteration(it);
 }
 
 }  // namespace cloudlb

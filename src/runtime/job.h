@@ -11,11 +11,9 @@
 #include "lb/shard_summary.h"
 #include "runtime/chare.h"
 #include "runtime/fault_hooks.h"
-#include "runtime/lb_database.h"
 #include "runtime/message.h"
 #include "runtime/network.h"
 #include "runtime/observer.h"
-#include "sim/shard_router.h"
 #include "sim/simulator.h"
 #include "util/shard_annotations.h"
 #include "vm/virtual_machine.h"
@@ -71,16 +69,6 @@ struct JobConfig {
   /// (500 us, 1 ms, 2 ms, ... — bounding the barrier stall a flaky
   /// migration path can cause to max_retries doublings).
   SimTime migration_retry_backoff = SimTime::micros(500);
-
-  /// Shard-aware delivery routing on the *legacy* single engine
-  /// (non-owning; see src/sim/shard_router.h). When set, messages and
-  /// migration transfers between machine nodes on different shards are
-  /// buffered by the router and released at conservative window barriers
-  /// in canonical channel-merge order instead of being scheduled
-  /// directly. Null — the default — keeps the legacy direct path
-  /// bit-identical. Must be null under the sharded-host constructor,
-  /// which speaks the window protocol natively.
-  ShardRouter* router = nullptr;
 };
 
 /// A parallel job under the message-driven runtime: a set of chares mapped
@@ -93,30 +81,32 @@ struct JobConfig {
 /// window and its host core's idle counter, and hands all of it to the
 /// strategy as LbStats.
 ///
-/// The job runs in one of two modes, fixed at construction:
+/// There is one implementation of every collective. All window-mutable
+/// state (LB database, barrier counters, iteration tallies, task and
+/// message counts) lives in a ShardPartition with one segment per shard
+/// engine, and collective phases (AtSync cascades, reductions,
+/// migrations, finish detection) run in exact global event order, with
+/// burst continuations ranked by chare index. The constructor only picks
+/// where the engines come from:
 ///
-///  * **Legacy** — one Simulator clocks everything; every code path is
-///    bit-identical to the pre-sharding runtime (pinned by the golden
-///    trace digest).
-///  * **Sharded** — a ShardedRuntimeHost drives the job across N shard
-///    engines. All window-mutable state (LB database, barrier counters,
-///    iteration tallies) is partitioned per shard (ShardPartition):
-///    during conservative windows each shard writes only its own
-///    segment, and collective phases (AtSync cascades, reductions,
-///    migrations, finish detection) run serialized in exact global event
-///    order, so makespan, migrations and energy are bit-identical to the
-///    legacy engine for any shard and worker count.
+///  * on a Simulator, the job is a one-segment partition on that engine
+///    and is never inside a window, so every collective completes at the
+///    instant its last participant arrives;
+///  * on a ShardedRuntimeHost, the job spans the host's shard engines,
+///    each shard writes only its own segment during conservative windows,
+///    and the host merges the segments at window barriers. Makespan,
+///    migrations and energy are bit-identical to the one-segment job for
+///    any shard and worker count.
 class RuntimeJob {
  public:
-  /// Legacy single-engine mode. The balancer may be the NullLb to
+  /// One-segment job on `sim`. The balancer may be the NullLb to
   /// reproduce the paper's "noLB" configuration.
   RuntimeJob(Simulator& sim, VirtualMachine& vm, JobConfig config,
              std::unique_ptr<LoadBalancer> balancer);
 
-  /// Shard-partitioned mode: the job registers with `host` and is
-  /// advanced by host.drive(). Requires config.router == nullptr (the
-  /// host speaks the window protocol itself) and no observer (the tracer
-  /// is a legacy-engine facility).
+  /// Partitioned job: registers with `host` and is advanced by
+  /// host.drive(). Observers are refused: they would be invoked from
+  /// window worker threads.
   RuntimeJob(ShardedRuntimeHost& host, VirtualMachine& vm, JobConfig config,
              std::unique_ptr<LoadBalancer> balancer);
   ~RuntimeJob();
@@ -147,11 +137,8 @@ class RuntimeJob {
   [[nodiscard]] std::size_t num_chares() const { return chares_.size(); }
   [[nodiscard]] int lb_period() const { return config_.lb_period; }
 
-  /// Legacy mode only (the sharded runtime has one engine per shard).
+  /// Simulator-built jobs only (a host has one engine per shard).
   Simulator& sim();
-  /// Sharded mode only.
-  ShardedRuntimeHost& host();
-  [[nodiscard]] bool sharded() const { return host_ != nullptr; }
   VirtualMachine& vm() { return vm_; }
 
   [[nodiscard]] PeId pe_of(ChareId chare) const;
@@ -159,8 +146,9 @@ class RuntimeJob {
   Chare& chare(ChareId id);
 
   /// Completion times of fully-finished application iterations
-  /// (index = iteration number as reported by chares). In sharded mode
-  /// the per-shard tallies are merged lazily; complete after drive().
+  /// (index = iteration number as reported by chares). Stamped the
+  /// instant the last chare reports; reports made inside a host window
+  /// are merged at the end of drive().
   [[nodiscard]] const std::vector<SimTime>& iteration_times() const {
     return iteration_times_;
   }
@@ -182,17 +170,17 @@ class RuntimeJob {
     int migration_retries = 0;   ///< failed attempts that were retried
     int migrations_failed = 0;   ///< abandoned after exhausting retries
   };
-  /// By value: in sharded mode the window-local counters (tasks,
-  /// messages) live in the per-shard segments and are merged on read.
+  /// By value: the window-local counters (tasks, messages) live in the
+  /// partition segments and are merged on read.
   [[nodiscard]] Counters counters() const;
 
   /// Total CPU consumed by the job's PEs (from core accounting).
   [[nodiscard]] SimTime cpu_consumed() const;
 
-  /// Sharded mode: per-shard {load, O_p} summaries, refreshed at every
-  /// window barrier (from the segments' running totals and the exact
-  /// idle counters) and at every LB step (from the LbStats snapshot the
-  /// balancer saw). Empty in legacy mode or before the first barrier.
+  /// Per-shard {load, O_p} summaries, refreshed at every LB step (from
+  /// the LbStats snapshot the balancer saw) and, on a host, at every
+  /// window barrier (from the segments' running totals and the exact idle
+  /// counters). Empty before the first refresh.
   [[nodiscard]] const std::vector<ShardLoadSummary>& shard_summaries() const {
     return shard_summaries_;
   }
@@ -206,7 +194,7 @@ class RuntimeJob {
   CLB_SHARD_CONFINED void chare_finished(ChareId chare);
   CLB_SHARD_CONFINED void report_iteration(ChareId chare, int iteration);
 
-  // --- Host-facing protocol (sharded mode; called by ShardedRuntimeHost
+  // --- Host-facing protocol (host-built jobs; called by ShardedRuntimeHost
   // from the driving thread, never from inside a window). ---
 
   /// True when the job has collective state in motion that requires
@@ -231,16 +219,18 @@ class RuntimeJob {
   /// allowed): the chare -> PE mapping is dense, in range, and agrees
   /// with every chare's identity (no chare lost, duplicated, or misowned),
   /// per-PE message queues route consistently, the barrier/migration
-  /// state machine is quiescent, and — in sharded mode — the partition
-  /// segments are mutually consistent (finish counts match the done
-  /// flags, reduction counters match their contribution logs,
-  /// contribution times are monotone per shard, and the segment load
-  /// totals match their databases). Throws CheckFailure on violation.
-  /// Must not be called mid-window in sharded mode.
+  /// state machine is quiescent, and the partition segments are mutually
+  /// consistent (finish counts match the done flags, reduction counters
+  /// match their contribution logs, contribution times are monotone per
+  /// shard, and the segment load totals match their databases). Throws
+  /// CheckFailure on violation. Must not be called mid-window.
   CLB_BARRIER_PHASE void validate_invariants() const;
 
  private:
   friend struct RuntimeJobTestAccess;  ///< corruption seams for validator tests
+
+  RuntimeJob(Simulator* sim, ShardedRuntimeHost* host, VirtualMachine& vm,
+             JobConfig config, std::unique_ptr<LoadBalancer> balancer);
 
   /// Runtime-internal CPU work (migration pack/unpack) serialized per PE.
   struct ServiceItem {
@@ -258,19 +248,31 @@ class RuntimeJob {
     SimTime idle_anchor;
   };
 
-  // Mode plumbing.
+  // Mode plumbing: with the host-only hooks, the only code that knows
+  // whether the job runs on a Simulator or on a ShardedRuntimeHost.
   [[nodiscard]] int shard_of_pe(PeId pe) const {
     return shard_of_pe_[static_cast<std::size_t>(pe)];
   }
-  [[nodiscard]] EngineCore& engine_of_pe(PeId pe) const;
-  /// The current simulation instant as seen from PE `pe`'s context:
-  /// legacy -> the one clock; sharded, inside a window -> the PE's shard
-  /// clock; sharded otherwise (global phases, setup, timed actions) ->
-  /// the host's global instant.
-  [[nodiscard]] SimTime ctx_now(PeId pe) const;
+  /// The engine that owns shard `shard` (the Simulator for every shard of
+  /// a one-segment job).
+  [[nodiscard]] EngineCore& engine_of_shard(int shard) const;
+  [[nodiscard]] EngineCore& engine_of_pe(PeId pe) const {
+    return engine_of_shard(shard_of_pe(pe));
+  }
+  /// True while the host runs a conservative window; never for a job
+  /// built on a Simulator.
+  [[nodiscard]] bool in_window() const;
+  /// The current global instant: the Simulator's clock, or the host's
+  /// global instant (meaningless as a per-shard clock inside a window).
+  [[nodiscard]] SimTime global_now() const;
+  /// The current instant as seen from PE `pe`'s context: its shard clock
+  /// inside a window, the global instant otherwise.
+  [[nodiscard]] SimTime ctx_now(PeId pe) const {
+    return in_window() ? engine_of_pe(pe).now() : global_now();
+  }
   /// Delivery routing: schedules `cb` at base + delay in the context of
-  /// `to_pe`'s engine. Legacy mode preserves the exact pre-sharding call
-  /// sequence (including the optional JobConfig::router path).
+  /// `to_pe`'s engine, through the host's windowed channel when a window
+  /// is open and the PEs sit on different shards.
   CLB_SHARD_CONFINED void route_to(PeId from_pe, PeId to_pe, SimTime base,
                                    SimTime delay, std::function<void()> cb);
 
@@ -299,47 +301,47 @@ class RuntimeJob {
                                           int attempt);
   CLB_BARRIER_PHASE void migration_done();
   /// The post-LB resume burst: per-chare continuations ranked by chare
-  /// index so the sharded heaps replay them in legacy order.
+  /// index, so every shard count replays them in the same order.
   CLB_BARRIER_PHASE CLB_RANKED_FANOUT void resume_all();
   CLB_CANONICAL_COMBINE LbStats collect_stats() const;
   CLB_BARRIER_PHASE void reset_lb_window();
 
-  // Sharded collective-phase helpers (driving thread or global events).
+  // Collective-phase helpers (outside windows: global events, setup, or
+  // the host's barrier bookkeeping).
   CLB_BARRIER_PHASE void maybe_complete_sync_wave(SimTime t);
   CLB_BARRIER_PHASE void maybe_complete_reduction(SimTime t);
   CLB_BARRIER_PHASE void begin_lb_barrier(SimTime t);
   /// Reduction broadcast fan-out: ranked like resume_all().
   CLB_BARRIER_PHASE CLB_RANKED_FANOUT void complete_reduction(SimTime t,
                                                               double result);
+  CLB_BARRIER_PHASE void mark_finished(SimTime t);
+  /// Merges iteration `it`'s per-shard tallies; stamps and returns true
+  /// when every chare has reported it.
+  CLB_BARRIER_PHASE bool merge_iteration(std::size_t it);
   CLB_BARRIER_PHASE CLB_CANONICAL_COMBINE void refresh_barrier_summaries();
 
-  Simulator* sim_ = nullptr;          ///< legacy mode
-  ShardedRuntimeHost* host_ = nullptr;  ///< sharded mode
+  Simulator* sim_ = nullptr;            ///< set when built on a Simulator
+  ShardedRuntimeHost* host_ = nullptr;  ///< set when built on a host
   VirtualMachine& vm_;
   JobConfig config_;
   std::unique_ptr<LoadBalancer> balancer_;
   std::vector<std::unique_ptr<Chare>> chares_;
-  /// One flag per chare. uint8_t, not vector<bool>: in sharded mode each
-  /// shard writes its own chares' flags during parallel windows, and a
-  /// packed bitfield would make those writes race on shared words.
+  /// One flag per chare. uint8_t, not vector<bool>: on a host each shard
+  /// writes its own chares' flags during parallel windows, and a packed
+  /// bitfield would make those writes race on shared words.
   CLB_SHARD_CONFINED std::vector<std::uint8_t> chare_done_;
   std::vector<PeId> assignment_;  ///< chare -> PE (stable during windows)
   CLB_SHARD_CONFINED std::vector<Pe> pes_;
-  LbDatabase db_;  ///< legacy mode; sharded mode uses the partition's segments
   ExecutionObserver* observer_ = nullptr;
 
   bool started_ = false;
   bool finished_ = false;
   SimTime start_time_;
   SimTime finish_time_;
-  std::size_t finished_chares_ = 0;  ///< legacy; sharded sums the segments
 
-  std::size_t sync_count_ = 0;       ///< legacy; sharded sums the segments
   bool lb_in_progress_ = false;
-  std::size_t reduction_count_ = 0;  ///< legacy
-  double reduction_sum_ = 0.0;       ///< legacy
   int migrations_in_flight_ = 0;
-  int broadcasts_pending_ = 0;       ///< sharded: in-flight broadcast events
+  int broadcasts_pending_ = 0;  ///< reduction broadcast events in flight
 
   /// Per-source-node NIC egress availability (used when the network model
   /// enables contention). Presized in start(): per-node entries are only
@@ -347,12 +349,10 @@ class RuntimeJob {
   /// the storage mid-window.
   CLB_SHARD_CONFINED std::vector<SimTime> nic_free_at_;
 
-  std::vector<int> iteration_reports_;  ///< per-iteration completion counts
   std::vector<SimTime> iteration_times_;
 
-  Counters counters_;
+  Counters counters_;  ///< tasks and messages are counted in the segments
 
-  // Sharded-mode state.
   std::unique_ptr<ShardPartition> part_;
   std::vector<int> shard_of_pe_;
   std::vector<ShardLoadSummary> shard_summaries_;

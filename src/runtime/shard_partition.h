@@ -26,8 +26,7 @@ struct alignas(64) CLB_SHARD_CONFINED ShardSegment {
   /// this shard's PEs. Sized to the full chare count — a chare's row is
   /// nonzero in at most one segment per window (migrations happen only at
   /// global barriers), so the merged per-chare CPU is a sum of one
-  /// nonzero value and zeros: bit-identical to the legacy single
-  /// database.
+  /// nonzero value and zeros: bit-identical to a single database.
   LbDatabase db;
 
   /// Running duplicate of db's window total, maintained so the barrier

@@ -40,7 +40,8 @@ ShardedRuntimeHost::~ShardedRuntimeHost() = default;
 int ShardedRuntimeHost::shard_of_node(int node) const {
   const int nodes = machine_.num_nodes();
   CLB_CHECK(node >= 0 && node < nodes);
-  // Same contiguous block map as WindowedShardRouter: node n -> n·S/N.
+  // Contiguous near-equal blocks, keeping the rack/node locality a real
+  // partition would keep: node n -> n·S/N.
   return static_cast<int>(static_cast<long long>(node) * shards() / nodes);
 }
 

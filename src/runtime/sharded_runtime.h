@@ -15,7 +15,7 @@ class RuntimeJob;
 
 /// The shard-partitioned runtime driver: owns a ShardedSimulator and the
 /// Machine whose nodes are block-partitioned across its shards (node n ->
-/// shard n·S/N, the WindowedShardRouter mapping), and advances registered
+/// shard n·S/N, contiguous near-equal blocks), and advances registered
 /// RuntimeJobs by alternating two execution regimes
 /// (docs/sharded-engine.md):
 ///

@@ -111,7 +111,7 @@ class EngineCore {
   /// the sharded runtime, where events reach one engine from several
   /// clocks: see schedule_at_stamped.
   CLB_WARM_PATH EventHandle schedule_at(SimTime t, Callback cb) {
-    return schedule_at_ranked(t, now_, current_rank_, std::move(cb));
+    return schedule_at_ranked(t, now_, inherited_rank(), std::move(cb));
   }
 
   /// Schedules `cb` at `t` carrying an explicit send stamp — the logical
@@ -125,25 +125,23 @@ class EngineCore {
   /// instead of by arrival route. `stamp` may be behind this engine's
   /// clock (the sender's window lags the barrier) but never ahead of `t`.
   /// The event inherits the executing event's rank (see
-  /// schedule_at_ranked).
+  /// schedule_at_ranked and inherited_rank).
   CLB_WARM_PATH EventHandle schedule_at_stamped(SimTime t, SimTime stamp,
                                                 Callback cb) {
-    return schedule_at_ranked(t, stamp, current_rank_, std::move(cb));
+    return schedule_at_ranked(t, stamp, inherited_rank(), std::move(cb));
   }
 
   /// Schedules `cb` at `t` with an explicit (stamp, rank) ordering key.
   /// `rank` breaks ties after the stamp and before insertion order. It
-  /// exists for synchronized fan-out bursts in the sharded runtime: when
-  /// one logical broadcast (an LB resume, a reduction result) reaches N
-  /// chares "at the same instant", the legacy engine executes the
-  /// per-chare continuations in the order the broadcast loop inserted
-  /// them — chare index order — while per-shard engines drain shard by
-  /// shard. Ranking those continuations by chare index, and letting every
-  /// event they transitively schedule inherit the rank (current_rank()),
-  /// reproduces the legacy interleave for events whose time AND stamp
-  /// both tie across shards. The legacy path never assigns a rank, so
-  /// every entry carries 0 there and ordering degenerates to the
-  /// historical (time, stamp, seq).
+  /// exists for synchronized fan-out bursts in the runtime: when one
+  /// logical broadcast (an LB resume, a reduction result) reaches N
+  /// chares "at the same instant", one engine would execute the per-chare
+  /// continuations in insertion order while per-shard engines drain shard
+  /// by shard. Ranking those continuations by chare index, and letting
+  /// every event they transitively schedule inherit the rank
+  /// (current_rank()), gives one interleave for events whose time AND
+  /// stamp both tie, on every shard count. Code that assigns no rank
+  /// carries 0, where ordering degenerates to (time, stamp, seq).
   CLB_WARM_PATH EventHandle schedule_at_ranked(SimTime t, SimTime stamp,
                                                std::uint64_t rank,
                                                Callback cb) {
@@ -163,10 +161,25 @@ class EngineCore {
   }
 
   /// Rank of the currently executing event — zero outside a callback and
-  /// on the legacy path. Everything scheduled from inside a callback
+  /// outside ranked chains. Everything scheduled from inside a callback
   /// inherits it, so a ranked burst continuation propagates its rank down
   /// its whole causal chain.
   [[nodiscard]] std::uint64_t current_rank() const { return current_rank_; }
+
+  /// Rank that schedule_at and schedule_at_stamped attach: the executing
+  /// event's. While a serialized global step runs another engine's event
+  /// (set_rank_source), that is the other engine's current rank, so work
+  /// scheduled across engines inherits exactly what a single engine would
+  /// have given it.
+  [[nodiscard]] std::uint64_t inherited_rank() const {
+    return rank_source_ != nullptr ? rank_source_->current_rank_
+                                   : current_rank_;
+  }
+
+  /// Points inherited_rank at the engine whose event is executing (null
+  /// restores this engine's own). Set by ShardedSimulator::step_global
+  /// around each step; a lone engine never has one.
+  void set_rank_source(const EngineCore* source) { rank_source_ = source; }
 
   /// Overrides the inherited rank mid-callback. Used by fan-out loops
   /// that deliver to several chares from ONE event (the per-shard half of
@@ -320,16 +333,37 @@ class EngineCore {
     now_ = t;
   }
 
-  /// Timestamp of the earliest live (non-cancelled) pending event, or
-  /// nullopt when none remain. Sheds stale heads off the heap as a side
-  /// effect (bookkeeping only; the trace is untouched).
-  [[nodiscard]] std::optional<SimTime> next_live_time() {
+  /// The heap key of an event minus its engine-local sequence number:
+  /// the part of the order that is comparable across engines.
+  struct EventKey {
+    SimTime time;
+    SimTime stamp;
+    std::uint64_t rank = 0;
+    bool operator<(const EventKey& o) const {
+      if (time != o.time) return time < o.time;
+      if (stamp != o.stamp) return stamp < o.stamp;
+      return rank < o.rank;
+    }
+  };
+
+  /// Key of the earliest live (non-cancelled) pending event, or nullopt
+  /// when none remain. Sheds stale heads off the heap as a side effect
+  /// (bookkeeping only; the trace is untouched).
+  [[nodiscard]] std::optional<EventKey> next_live_key() {
     while (!queue_.empty()) {
       const QueueEntry& head = queue_.front();
-      if (slots_[head.slot].gen == head.gen) return head.time;
+      if (slots_[head.slot].gen == head.gen)
+        return EventKey{head.time, head.stamp, head.rank};
       drop_stale_head();
     }
     return std::nullopt;
+  }
+
+  /// Timestamp of the earliest live pending event (see next_live_key).
+  [[nodiscard]] std::optional<SimTime> next_live_time() {
+    const std::optional<EventKey> key = next_live_key();
+    if (!key) return std::nullopt;
+    return key->time;
   }
 
   /// Number of events scheduled but not yet fired or cancelled.
@@ -367,7 +401,7 @@ class EngineCore {
   struct QueueEntry {
     SimTime time;
     SimTime stamp;       ///< send instant; breaks same-time ties before rank
-    std::uint64_t rank;  ///< burst-continuation rank; 0 on the legacy path
+    std::uint64_t rank;  ///< burst-continuation rank; 0 outside ranked chains
     std::uint64_t seq;
     std::uint32_t slot;
     std::uint32_t gen;
@@ -479,6 +513,7 @@ class EngineCore {
   std::uint64_t last_fired_rank_ = 0;
   std::uint64_t last_fired_seq_ = 0;
   std::uint64_t current_rank_ = 0;  ///< rank of the executing event
+  const EngineCore* rank_source_ = nullptr;  ///< see set_rank_source
   std::uint64_t executed_ = 0;
   ClockFaultPolicy clock_policy_ = ClockFaultPolicy::kStrict;
   std::uint64_t clock_recoveries_ = 0;

@@ -253,23 +253,32 @@ SimTime ShardedSimulator::run_one_window(std::optional<SimTime> cap) {
 std::optional<SimTime> ShardedSimulator::step_global() {
   CLB_CHECK_MSG(!in_window_, "step_global from inside a window");
   flush_mailboxes();
+  // The head with the least (time, stamp, rank) goes first — the order a
+  // single engine holding every event would use. Only the engine-local
+  // sequence number is incomparable; a full tie falls to the lower shard.
   int best = -1;
-  SimTime best_time;
+  EngineCore::EventKey best_key;
   for (int s = 0; s < shards(); ++s) {
-    const std::optional<SimTime> next =
-        states_[static_cast<std::size_t>(s)]->engine.next_live_time();
-    if (next && (best < 0 || *next < best_time)) {
+    const std::optional<EngineCore::EventKey> next =
+        states_[static_cast<std::size_t>(s)]->engine.next_live_key();
+    if (next && (best < 0 || *next < best_key)) {
       best = s;
-      best_time = *next;
+      best_key = *next;
     }
   }
   if (best < 0) return std::nullopt;
+  const SimTime best_time = best_key.time;
   ShardState& st = *states_[static_cast<std::size_t>(best)];
   // Advance the barrier clock *before* executing: a global-phase callback
   // reads now() as "the current global instant", and that is this event's
   // timestamp, not the previous one's.
   if (best_time > now_) now_ = best_time;
+  // Work the event schedules on other engines inherits its rank, as it
+  // would on a single engine.
+  for (auto& other : states_)
+    if (other.get() != &st) other->engine.set_rank_source(&st.engine);
   CLB_CHECK(st.engine.step());
+  for (auto& other : states_) other->engine.set_rank_source(nullptr);
   ++global_steps_;
   if (trace_) {
     // One event stepped at a time, always the global minimum, so per-event
@@ -330,70 +339,6 @@ std::size_t ShardedSimulator::pending() const {
 
 void ShardedSimulator::validate_integrity() const {
   for (const auto& st : states_) st->engine.validate_integrity();
-}
-
-WindowedShardRouter::WindowedShardRouter(EngineCore& sim, int shards,
-                                         int nodes, SimTime window)
-    : sim_{sim},
-      shards_{shards},
-      nodes_{nodes},
-      window_{window},
-      src_seq_(static_cast<std::size_t>(nodes > 0 ? nodes : 0), 0) {
-  CLB_CHECK_MSG(nodes >= 1, "router needs at least one node, got " << nodes);
-  CLB_CHECK_MSG(shards >= 1 && shards <= nodes,
-                "router shard count must be in [1, " << nodes << "], got "
-                                                     << shards);
-  CLB_CHECK_MSG(window > SimTime::zero(),
-                "window width must be positive, got " << window.to_string());
-}
-
-int WindowedShardRouter::shard_of(int node) const {
-  CLB_CHECK_MSG(node >= 0 && node < nodes_, "node out of range: " << node);
-  // Contiguous near-equal blocks, matching the rack/node locality a real
-  // partition would keep.
-  return static_cast<int>(static_cast<std::int64_t>(node) * shards_ /
-                          nodes_);
-}
-
-SimTime WindowedShardRouter::next_barrier() const {
-  const std::int64_t w = window_.ns();
-  return SimTime::nanos((sim_.now().ns() / w + 1) * w);
-}
-
-void WindowedShardRouter::route(int src_node, int dst_node,
-                                SimTime deliver_at, EngineCore::Callback cb) {
-  CLB_CHECK(cb != nullptr);
-  CLB_CHECK_MSG(crosses_shards(src_node, dst_node),
-                "route() called for co-sharded nodes " << src_node << " and "
-                                                       << dst_node);
-  const SimTime barrier = next_barrier();
-  CLB_CHECK_MSG(deliver_at >= barrier,
-                "cross-shard delivery at " << deliver_at.to_string()
-                    << " would beat the barrier at " << barrier.to_string()
-                    << ": delivery delay below the lookahead window");
-  // `sent` is recorded for symmetry with ShardedSimulator::post but the
-  // flush below deliberately injects with plain schedule_at: the router
-  // predates send stamps and its digests pin the flush-order tie-break.
-  buffered_.push_back(ShardEnvelope{
-      deliver_at, sim_.now(), 0,
-      src_seq_[static_cast<std::size_t>(src_node)]++, src_node, dst_node,
-      std::move(cb)});
-  ++routed_;
-  if (!flush_scheduled_) {
-    flush_scheduled_ = true;
-    sim_.schedule_at(barrier, [this] { flush(); });
-  }
-}
-
-void WindowedShardRouter::flush() {
-  flush_scheduled_ = false;
-  ++flushes_;
-  // Canonical release order — identical to ShardedSimulator's barrier
-  // merge, so both halves of the protocol share one ordering rule.
-  std::sort(buffered_.begin(), buffered_.end(), shard_envelope_before);
-  for (ShardEnvelope& e : buffered_)
-    sim_.schedule_at(e.deliver, std::move(e.cb));
-  buffered_.clear();
 }
 
 }  // namespace cloudlb

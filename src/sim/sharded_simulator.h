@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "sim/engine_core.h"
-#include "sim/shard_router.h"
 #include "util/shard_annotations.h"
 #include "util/sim_time.h"
 
@@ -183,7 +182,9 @@ class ShardedSimulator {
   SimTime run_one_window(std::optional<SimTime> cap);
 
   /// Executes the single globally earliest event — min over shards of
-  /// (next event time, shard) — on the driving thread, emits its trace
+  /// the head's (time, stamp, rank), then shard — on the driving thread,
+  /// with every other engine inheriting its rank (EngineCore::
+  /// set_rank_source), emits its trace
   /// record immediately (global order makes per-event emission already
   /// canonical), and returns its time; nullopt when drained. This is the
   /// serialized mode the runtime's global phases (LB barrier cascades,
@@ -281,60 +282,6 @@ class ShardedSimulator {
   std::uint64_t cross_delivered_ = 0;
   std::uint64_t windows_run_ = 0;
   std::uint64_t global_steps_ = 0;
-};
-
-/// The runtime-facing half of the window protocol, on a single host
-/// engine: machine nodes are block-partitioned into shards, and a
-/// scenario's cross-shard traffic is buffered into per-source ordered
-/// channels released by a lazily scheduled flush event at the next
-/// barrier (the next multiple of the window width), injected in the same
-/// canonical (deliver, src, seq) merge order ShardedSimulator uses at its
-/// barriers. Historically this is what `--shards N` installed behind
-/// JobConfig::router; the scenario runtime now runs partitioned for real
-/// on ShardedRuntimeHost (src/runtime/sharded_runtime.h, per-shard LB
-/// segments and reductions — see docs/sharded-engine.md), so the router
-/// remains as the single-engine window shim for tests and for embedders
-/// that want windowed ordering without the partitioned runtime. Its
-/// digests are pinned by determinism_test, which is why its flush
-/// deliberately injects with plain schedule_at (no send stamps).
-class WindowedShardRouter final : public ShardRouter {
- public:
-  /// `shards` must be in [1, nodes]; node n maps to shard n·shards/nodes
-  /// (contiguous near-equal blocks). `window` is the barrier cadence and
-  /// must lower-bound every cross-shard delivery delay
-  /// (min_internode_delay of the scenario's network).
-  WindowedShardRouter(EngineCore& sim, int shards, int nodes, SimTime window);
-
-  [[nodiscard]] int shard_of(int node) const;
-  [[nodiscard]] bool crosses_shards(int src_node,
-                                    int dst_node) const override {
-    return shard_of(src_node) != shard_of(dst_node);
-  }
-  void route(int src_node, int dst_node, SimTime deliver_at,
-             EngineCore::Callback cb) override;
-
-  [[nodiscard]] int shards() const { return shards_; }
-  [[nodiscard]] SimTime window() const { return window_; }
-  /// Envelopes routed / flush barriers executed so far (monitoring).
-  [[nodiscard]] std::uint64_t routed() const { return routed_; }
-  [[nodiscard]] std::uint64_t flushes() const { return flushes_; }
-  /// Envelopes not yet released; 0 once the engine drains.
-  [[nodiscard]] std::size_t buffered() const { return buffered_.size(); }
-
- private:
-  /// First barrier strictly after the engine's current time.
-  [[nodiscard]] SimTime next_barrier() const;
-  void flush();
-
-  EngineCore& sim_;
-  int shards_;
-  int nodes_;
-  SimTime window_;
-  std::vector<ShardEnvelope> buffered_;
-  std::vector<std::uint64_t> src_seq_;  ///< per-source channel counters
-  bool flush_scheduled_ = false;
-  std::uint64_t routed_ = 0;
-  std::uint64_t flushes_ = 0;
 };
 
 }  // namespace cloudlb

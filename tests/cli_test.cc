@@ -165,24 +165,31 @@ TEST(CliTest, SweepJobsOutputIsThreadCountInvariant) {
 
 TEST(CliTest, PenaltyShardsOutputMatchesLegacy) {
   // --shards moves the whole runtime onto the partitioned engines; the
-  // report must stay byte-identical to the legacy single-engine run, for
-  // serial and parallel windows alike. 16 cores / 4 per node = 4 nodes,
-  // so both shard counts genuinely partition the machine.
-  const std::vector<std::string> base = {"penalty", "--app=jacobi2d",
-                                         "--cores=16", "--iterations=20",
-                                         "--bg-iterations=40"};
-  const CliResult legacy = cli(base);
-  EXPECT_EQ(legacy.code, 0) << legacy.err;
-  for (const auto& extra : std::vector<std::vector<const char*>>{
-           {"--shards=1", "--jobs=4"},  // legacy dispatch; --jobs inert
-           {"--shards=2"},
-           {"--shards=4", "--jobs=1"},
-           {"--shards=4", "--jobs=3"}}) {
-    std::vector<std::string> args = base;
-    for (const char* a : extra) args.emplace_back(a);
-    const CliResult sharded = cli(args);
-    EXPECT_EQ(sharded.code, 0) << sharded.err;
-    EXPECT_EQ(sharded.out, legacy.out) << extra[0];
+  // report must stay byte-identical to the single-engine run, for serial
+  // and parallel windows alike. 16 cores / 4 per node = 4 nodes, so both
+  // shard counts genuinely partition the machine. The greedy input
+  // migrates thousands of chares through tied resume bursts, which is
+  // where an unranked single engine once drifted from the shards (3417
+  // vs 3389 migrations).
+  for (const std::vector<std::string>& base :
+       std::vector<std::vector<std::string>>{
+           {"penalty", "--app=jacobi2d", "--cores=16", "--iterations=20",
+            "--bg-iterations=40"},
+           {"penalty", "--app=jacobi2d", "--balancer=greedy", "--cores=32",
+            "--iterations=40", "--bg-iterations=100", "--lb-period=5"}}) {
+    const CliResult legacy = cli(base);
+    EXPECT_EQ(legacy.code, 0) << legacy.err;
+    for (const auto& extra : std::vector<std::vector<const char*>>{
+             {"--shards=1", "--jobs=4"},  // single engine; --jobs inert
+             {"--shards=2"},
+             {"--shards=4", "--jobs=1"},
+             {"--shards=4", "--jobs=3"}}) {
+      std::vector<std::string> args = base;
+      for (const char* a : extra) args.emplace_back(a);
+      const CliResult sharded = cli(args);
+      EXPECT_EQ(sharded.code, 0) << sharded.err;
+      EXPECT_EQ(sharded.out, legacy.out) << base[2] << " " << extra[0];
+    }
   }
 }
 
@@ -265,6 +272,35 @@ TEST(CliTest, ShardCountBelowOneFailsAtParse) {
   EXPECT_EQ(r.code, 1);
   EXPECT_NE(r.err.find("--shards"), std::string::npos) << r.err;
   EXPECT_NE(r.err.find("at least 1"), std::string::npos) << r.err;
+}
+
+TEST(CliTest, ShardsWithTenantsFailsAtParse) {
+  // The partitioned runtime has no tenant field; say so before running.
+  const CliResult r = cli({"penalty", "--app=jacobi2d", "--cores=16",
+                           "--iterations=20", "--shards=4", "--tenants=4"});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find("--shards"), std::string::npos) << r.err;
+  EXPECT_NE(r.err.find("--tenants"), std::string::npos) << r.err;
+}
+
+TEST(CliTest, ShardsWithTenantsFailsAtParseOnOneNode) {
+  // Rejected whatever the node count, so the answer does not depend on
+  // --cores.
+  const CliResult r = cli({"penalty", "--app=jacobi2d", "--cores=4",
+                           "--iterations=20", "--shards=2", "--tenants=2"});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find("--tenants"), std::string::npos) << r.err;
+}
+
+TEST(CliTest, TimelineWithShardsFailsAtParse) {
+  for (const char* cores : {"--cores=16", "--cores=4"}) {
+    const CliResult r = cli({"timeline", "--app=jacobi2d", cores,
+                             "--iterations=16", "--bg-iterations=30",
+                             "--shards=4"});
+    EXPECT_EQ(r.code, 1) << cores;
+    EXPECT_NE(r.err.find("timeline"), std::string::npos) << r.err;
+    EXPECT_NE(r.err.find("--shards"), std::string::npos) << r.err;
+  }
 }
 
 TEST(CliTest, EstimatorClampFactorBelowOneFailsAtParse) {

@@ -295,37 +295,11 @@ TEST(SmoothedLbTest, DampsOneWindowBlip) {
   EXPECT_NEAR(lb.smoothed_background()[0], 1.6, 1e-9);
 }
 
-TEST(SmoothedLbTest, ChareLoadSmoothingDampsSpikes) {
-  SmoothedInterferenceAwareLb::Options options;
-  options.alpha = 1.0;
-  options.chare_alpha = 0.25;
-  SmoothedInterferenceAwareLb lb{options};
-  const std::vector<double> quiet = {0.0, 0.0};
-  // Seed: balanced loads.
-  std::vector<PeId> assign{0, 0, 1, 1};
-  assign = lb.assign(make_stats(2, {1.0, 1.0, 1.0, 1.0}, assign, 10.0, quiet));
-  // One window where chare 0 spikes 5x: the smoothed view sees only
-  // 1 + 0.25*4 = 2.0, which stays inside the band → no migration.
-  const auto after_spike =
-      lb.assign(make_stats(2, {5.0, 1.0, 1.0, 1.0}, assign, 10.0, quiet));
-  EXPECT_EQ(after_spike, assign);
-  ASSERT_EQ(lb.smoothed_chare_loads().size(), 4u);
-  EXPECT_NEAR(lb.smoothed_chare_loads()[0], 2.0, 1e-9);
-  // A persistent shift eventually moves work.
-  std::vector<PeId> current = assign;
-  for (int w = 0; w < 8; ++w)
-    current = lb.assign(make_stats(2, {5.0, 1.0, 1.0, 1.0}, current, 10.0, quiet));
-  EXPECT_NE(current, assign);
-}
-
 TEST(SmoothedLbTest, AlphaValidated) {
   SmoothedInterferenceAwareLb::Options options;
   options.alpha = 0.0;
   EXPECT_THROW(SmoothedInterferenceAwareLb{options}, CheckFailure);
   options.alpha = 1.5;
-  EXPECT_THROW(SmoothedInterferenceAwareLb{options}, CheckFailure);
-  options.alpha = 0.5;
-  options.chare_alpha = 0.0;
   EXPECT_THROW(SmoothedInterferenceAwareLb{options}, CheckFailure);
 }
 

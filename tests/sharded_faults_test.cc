@@ -11,6 +11,7 @@
 
 #include "apps/jacobi2d.h"
 #include "core/interference_aware_lb.h"
+#include "core/scenario.h"
 #include "faults/fault_injector.h"
 #include "faults/fault_spec.h"
 #include "machine/machine.h"
@@ -277,6 +278,47 @@ TEST(ShardedFaultTest, CrossShardInterferenceMatchesLegacy) {
   const FaultedRun sharded = run_sharded(/*rig_seed=*/1, spec, /*workers=*/2);
   ASSERT_FALSE(sharded.refused);
   expect_equal(sharded, legacy, "pinned cross-shard interference");
+}
+
+// Failed migrations retried across shards: retries that fail at the same
+// instant redraw their fault verdicts in one order on every shard count.
+// This once diverged (3370 / 3389 / 3377 migrations for shards 1 / 2 / 4):
+// the global phase broke cross-engine ties by shard index instead of by
+// (time, stamp, rank), arrivals scheduled across engines lost the
+// scheduling event's rank, and simultaneous retries had no chare order.
+TEST(ShardedFaultTest, FailedMigrationRetriesAreShardIndependent) {
+  ScenarioConfig config;
+  config.app.name = "jacobi2d";
+  config.app.iterations = 40;
+  config.app_cores = 32;
+  config.balancer = "greedy";
+  config.lb_period = 5;
+  config.bg_iterations = 100;
+  config.job.migration_max_retries = 2;
+  config.faults = "failmig(prob=0.3);seed(value=7)";
+  std::optional<RunResult> reference;
+  for (const int shards : {1, 2, 4}) {
+    config.shards = shards;
+    const RunResult r = run_scenario(config);
+    EXPECT_GT(r.app_counters.migration_retries, 0);
+    if (!reference) {
+      reference = r;
+      continue;
+    }
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    EXPECT_EQ(r.app_elapsed, reference->app_elapsed);
+    EXPECT_EQ(r.bg_elapsed, reference->bg_elapsed);
+    EXPECT_EQ(r.energy_joules, reference->energy_joules);
+    EXPECT_EQ(r.app_counters.tasks_executed,
+              reference->app_counters.tasks_executed);
+    EXPECT_EQ(r.app_counters.messages_sent,
+              reference->app_counters.messages_sent);
+    EXPECT_EQ(r.app_counters.migrations, reference->app_counters.migrations);
+    EXPECT_EQ(r.app_counters.migration_retries,
+              reference->app_counters.migration_retries);
+    EXPECT_EQ(r.app_counters.migrations_failed,
+              reference->app_counters.migrations_failed);
+  }
 }
 
 }  // namespace

@@ -302,6 +302,31 @@ TEST(ShardedEdgeTest, SingleNodeMachineStaysLegacy) {
 
 // --------------------------------------- direct-host structural checks
 
+TEST(ShardedHostTest, BlockPartitionIsMonotoneAndBalanced) {
+  MachineConfig mc;
+  mc.nodes = 8;
+  mc.cores_per_node = 2;
+  ShardedRuntimeHost::Config hc;
+  hc.shards = 3;
+  ShardedRuntimeHost host{mc, hc};
+  std::vector<int> counts(3, 0);
+  int prev = 0;
+  for (int node = 0; node < 8; ++node) {
+    const int s = host.shard_of_node(node);
+    ASSERT_GE(s, prev);  // contiguous blocks
+    ASSERT_LT(s, 3);
+    prev = s;
+    ++counts[static_cast<std::size_t>(s)];
+  }
+  // Near-equal: 8 nodes over 3 shards is 3 + 3 + 2 in some order.
+  EXPECT_EQ(counts[0] + counts[1] + counts[2], 8);
+  for (const int c : counts) EXPECT_GE(c, 2);
+  EXPECT_EQ(host.shard_of_node(0), host.shard_of_node(1));
+  EXPECT_NE(host.shard_of_node(0), host.shard_of_node(7));
+  // Cores follow their node.
+  EXPECT_EQ(host.shard_of_core(15), host.shard_of_node(7));
+}
+
 /// Chare that syncs every iteration — with per-iteration costs far below
 /// the 60 µs window, whole AtSync waves complete inside single windows,
 /// forcing the rewind-recovery path on every period.

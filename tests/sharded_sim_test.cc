@@ -1,6 +1,5 @@
 // Tests for the sharded parallel discrete-event engine
-// (src/sim/sharded_simulator.h) and the runtime-facing
-// WindowedShardRouter.
+// (src/sim/sharded_simulator.h).
 //
 // The load-bearing claim is determinism: an order-insensitive workload
 // must produce the same canonical execution record on the legacy
@@ -434,89 +433,6 @@ TEST(ShardedSimPropertyTest, NoMessageLostDuplicatedOrReordered) {
     EXPECT_EQ(par.received, serial.received) << "world " << seed;
     EXPECT_EQ(par.sent, serial.sent) << "world " << seed;
   }
-}
-
-// ------------------------------------------------------------------
-// WindowedShardRouter: the runtime-facing half of the protocol.
-
-TEST(WindowedShardRouterTest, BlockPartitionIsMonotoneAndBalanced) {
-  Simulator sim;
-  WindowedShardRouter router{sim, 3, 8, SimTime::micros(60)};
-  std::vector<int> counts(3, 0);
-  int prev = 0;
-  for (int node = 0; node < 8; ++node) {
-    const int s = router.shard_of(node);
-    ASSERT_GE(s, prev);  // contiguous blocks
-    ASSERT_LT(s, 3);
-    prev = s;
-    ++counts[static_cast<std::size_t>(s)];
-  }
-  // Near-equal: block sizes differ by at most one... plus remainder slack.
-  EXPECT_EQ(counts[0] + counts[1] + counts[2], 8);
-  for (const int c : counts) EXPECT_GE(c, 2);
-  EXPECT_FALSE(router.crosses_shards(0, 1));  // nodes 0,1 -> shard 0
-  EXPECT_TRUE(router.crosses_shards(0, 7));
-}
-
-TEST(WindowedShardRouterTest, ReleasesAtBarrierInCanonicalOrder) {
-  Simulator sim;
-  WindowedShardRouter router{sim, 4, 4, SimTime::micros(60)};
-  std::vector<int> order;
-  // From inside an event at 10us (barrier = 60us), buffer three
-  // deliveries due at the *same* instant from different sources — plus
-  // one later one. Canonical release: (deliver, src, seq).
-  sim.schedule_at(SimTime::micros(10), [&] {
-    router.route(2, 0, SimTime::micros(100), [&order] { order.push_back(0); });
-    router.route(1, 3, SimTime::micros(100), [&order] { order.push_back(1); });
-    router.route(1, 0, SimTime::micros(100), [&order] { order.push_back(2); });
-    router.route(0, 3, SimTime::micros(90), [&order] { order.push_back(3); });
-  });
-  sim.run();
-  EXPECT_EQ(router.routed(), 4u);
-  EXPECT_EQ(router.flushes(), 1u);
-  EXPECT_EQ(router.buffered(), 0u);
-  // 90us first; then the 100us tie broken by (src 1 seq 0), (src 1
-  // seq 1), (src 2 seq 0).
-  EXPECT_EQ(order, (std::vector<int>{3, 1, 2, 0}));
-}
-
-TEST(WindowedShardRouterTest, DeliveryBehindTheBarrierIsRejected) {
-  Simulator sim;
-  WindowedShardRouter router{sim, 2, 2, SimTime::micros(60)};
-  sim.schedule_at(SimTime::micros(10), [&] {
-    // Due at 30us, but the barrier is at 60us: the window would be
-    // pierced — exactly what the latency floor exists to prevent.
-    router.route(0, 1, SimTime::micros(30), [] {});
-  });
-  EXPECT_THROW(sim.run(), CheckFailure);
-}
-
-TEST(WindowedShardRouterTest, CoShardedRouteIsRejected) {
-  Simulator sim;
-  WindowedShardRouter router{sim, 2, 4, SimTime::micros(60)};
-  EXPECT_THROW(router.route(0, 1, SimTime::micros(100), [] {}),
-               CheckFailure);
-}
-
-TEST(WindowedShardRouterTest, LazyFlushSchedulesOncePerOccupiedWindow) {
-  Simulator sim;
-  WindowedShardRouter router{sim, 2, 2, SimTime::micros(60)};
-  std::vector<std::int64_t> fire_times;
-  const auto probe = [&] {
-    fire_times.push_back(sim.now().ns());
-  };
-  sim.schedule_at(SimTime::micros(10), [&] {
-    router.route(0, 1, SimTime::micros(100), probe);
-    router.route(0, 1, SimTime::micros(70), probe);
-  });
-  // A later window's traffic gets its own flush; idle windows get none.
-  sim.schedule_at(SimTime::micros(200), [&] {
-    router.route(1, 0, SimTime::micros(300), probe);
-  });
-  sim.run();
-  EXPECT_EQ(router.flushes(), 2u);
-  EXPECT_EQ(fire_times,
-            (std::vector<std::int64_t>{70000, 100000, 300000}));
 }
 
 }  // namespace
