@@ -1,5 +1,7 @@
 // Microbenchmark: sharded parallel event engine vs the legacy serial
-// engine (docs/sharded-engine.md). Drives a synthetic message-passing
+// engine (docs/sharded-engine.md), driven the way the runtime host drives
+// it (shard_engine(s) scheduling, post(), and a next_event_time /
+// run_one_window loop). Drives a synthetic message-passing
 // workload — self-timed entities firing cross-entity messages — at
 // 1k/10k/100k-entity shapes, and reports events/sec per shard count in
 // serial and parallel window execution, plus a window-width sensitivity
@@ -12,6 +14,7 @@
 #include <chrono>
 #include <cstdint>
 #include <iostream>
+#include <optional>
 
 #include "bench_common.h"
 #include "sim/sharded_simulator.h"
@@ -77,17 +80,18 @@ struct ShardedWorkload {
                [] {});
     }
     if (k + 1 < ticks) {
-      sim.schedule_after(
-          shard_of(e),
-          SimTime::nanos(2000 + static_cast<std::int64_t>(h % 8000)),
-          [this, e, k] { tick(e, k + 1); });
+      sim.shard_engine(shard_of(e))
+          .schedule_after(
+              SimTime::nanos(2000 + static_cast<std::int64_t>(h % 8000)),
+              [this, e, k] { tick(e, k + 1); });
     }
   }
 
   void start() {
     for (int e = 0; e < entities; ++e)
-      sim.schedule_at(shard_of(e), SimTime::nanos(100 + 13 * e),
-                      [this, e] { tick(e, 0); });
+      sim.shard_engine(shard_of(e))
+          .schedule_at(SimTime::nanos(100 + 13 * e),
+                       [this, e] { tick(e, 0); });
   }
 };
 
@@ -104,7 +108,7 @@ Measured run_sharded(const Shape& shape, int shards, bool parallel,
   ShardedWorkload w{sim, shape.entities, shape.ticks};
   w.start();
   const auto begin = std::chrono::steady_clock::now();
-  sim.run();
+  while (sim.next_event_time()) sim.run_one_window(std::nullopt);
   const auto end = std::chrono::steady_clock::now();
   Measured m;
   m.events = sim.executed();

@@ -41,8 +41,12 @@ void rank_main(Rank& self) {
   const int left = (self.rank() + kRanks - 1) % kRanks;
   const int right = (self.rank() + 1) % kRanks;
 
-  auto step = std::make_shared<std::function<void()>>();
-  *step = [&self, st, left, right, step] {
+  const auto step_fn = std::make_shared<std::function<void()>>();
+  // The stored lambda holds itself weakly: pending callbacks own the step,
+  // so it is freed after the last one runs instead of leaking as a
+  // self-cycle.
+  *step_fn = [&self, st, left, right, weak = std::weak_ptr(step_fn)] {
+    const auto step = weak.lock();
     if (st->iter == kIterations) {
       self.done();
       return;
@@ -64,7 +68,7 @@ void rank_main(Rank& self) {
       });
     });
   };
-  (*step)();
+  (*step_fn)();
 }
 
 double run_with(const std::string& balancer, int* migrations) {

@@ -9,9 +9,12 @@
 # BUILD_DIR is a configured and built tree (bench/ and tools/cloudlb).
 # Covered: every bench/fig* and bench/ablation_* binary with --jobs 4, and
 # `cloudlb penalty` for jacobi2d with ia-refine and greedy at 16 and 32
-# cores across --shards 1, 2, 4 and 8, plus a failmig-with-retries run.
-# A run that exits nonzero records its stderr and exit status in its file
-# instead of failing the script, so a rejection shows up as a diff.
+# cores across --shards 1, 2, 4 and 8, a failmig-with-retries run, and
+# estimator runs with 16 tenants on 32 cores (the ia-refine-ewma preset
+# and its spelled-out form, gain-gated and refine with --estimator).
+# A run that exits nonzero records its stderr (minus the failing check's
+# source location) and exit status in its file instead of failing the
+# script, so a rejection shows up as a diff.
 set -euo pipefail
 
 if [[ $# -ne 2 ]]; then
@@ -31,7 +34,7 @@ run() {
   "$@" >"${out}/${name}.txt" 2>"${out}/${name}.err" || status=$?
   if [[ ${status} -ne 0 ]]; then
     {
-      cat "${out}/${name}.err"
+      sed 's/CHECK failed: .* at [^ ]*:[0-9]* — //' "${out}/${name}.err"
       echo "exit ${status}"
     } >>"${out}/${name}.txt"
   fi
@@ -60,4 +63,15 @@ failmig=(--balancer=greedy --cores=32 --migration-retries=2
 for shards in 1 2 4; do
   run "penalty_failmig_retries_s${shards}" "${cloudlb}" penalty \
     "${common[@]}" "${failmig[@]}" --shards="${shards}"
+done
+
+tenants=(--tenants=16 --cores=32)
+run penalty_tenants_preset_ia-refine-ewma "${cloudlb}" penalty \
+  "${common[@]}" "${tenants[@]}" --balancer=ia-refine-ewma
+run penalty_tenants_ia-refine_estimator-ewma "${cloudlb}" penalty \
+  "${common[@]}" "${tenants[@]}" --balancer=ia-refine --estimator=ewma
+for balancer in gain-gated refine; do
+  run "penalty_tenants_${balancer}_regress" "${cloudlb}" penalty \
+    "${common[@]}" "${tenants[@]}" --balancer="${balancer}" \
+    --estimator=regress
 done

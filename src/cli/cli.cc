@@ -1,5 +1,6 @@
 #include "cli/cli.h"
 
+#include <algorithm>
 #include <fstream>
 #include <ostream>
 
@@ -9,6 +10,7 @@
 #include "core/replay.h"
 #include "core/scenario.h"
 #include "faults/fault_spec.h"
+#include "lb/registry.h"
 #include "lb/stats_io.h"
 #include "metrics/profile.h"
 #include "util/check.h"
@@ -83,11 +85,15 @@ commands:
                                             added to the prediction;
                                             default 0, must be >= 0)
              --csv                         (emit CSV instead of a table)
+             (--lb-fallback, --estimator* and --forecast-* are rejected
+             with null|greedy|refine|random; --lb-fallback also with
+             gain-gated; ia-refine-ewma = ia-refine --estimator=ewma)
   sweep      the Figure-2/4 grid
              --app=..., --cores=4,8,16,32, --balancers=null,ia-refine
              --jobs=N  (run grid cells on N threads; 0 = all hardware
                         threads; output is identical for every N)
-             (other penalty options apply)
+             (other penalty options apply to every balancer that uses
+             them)
   timeline   run one scenario and draw per-core ASCII timelines
              --app=..., --balancer=..., --cores=N (<= 8 renders best),
              --width=N (default 100)
@@ -99,6 +105,28 @@ commands:
   balancers  list balancer strategies
   help       this text
 )usage";
+
+// Rejects the estimator flags a single chosen balancer would silently
+// ignore: the baselines estimate no background load, and gain-gated has
+// no last-good fallback. sweep skips this, since one grid may mix
+// interference-aware and blind balancers.
+void reject_ignored_lb_flags(const Options& options,
+                             const std::string& balancer) {
+  const std::vector<std::string> blind = baseline_balancer_names();
+  const bool estimates =
+      std::find(blind.begin(), blind.end(), balancer) == blind.end();
+  for (const char* flag :
+       {"estimator", "estimator-window", "estimator-clamp-factor",
+        "forecast-horizon", "forecast-margin", "lb-fallback"}) {
+    CLB_CHECK_MSG(estimates || !options.has(flag),
+                  "--" << flag << " has no effect with --balancer="
+                       << balancer
+                       << ", which estimates no background load");
+  }
+  CLB_CHECK_MSG(balancer != "gain-gated" || !options.has("lb-fallback"),
+                "--lb-fallback has no effect with --balancer=gain-gated, "
+                "which has no last-good fallback");
+}
 
 ScenarioConfig config_from(Options& options,
                            bool scalar_cores_and_balancer = true) {
@@ -165,6 +193,12 @@ ScenarioConfig config_from(Options& options,
   CLB_CHECK_MSG(robustness.forecast_margin >= 0.0,
                 "--forecast-margin must be non-negative; got "
                     << robustness.forecast_margin);
+  if (scalar_cores_and_balancer) {
+    reject_ignored_lb_flags(options, config.balancer);
+    // Built once and dropped, like the FaultPlan above: an unknown name
+    // or a preset conflict fails before any simulation runs.
+    static_cast<void>(make_balancer(config.balancer, config.lb_options));
+  }
   return config;
 }
 
@@ -227,6 +261,8 @@ int cmd_sweep(Options& options, std::ostream& out) {
   int jobs = static_cast<int>(options.get_int("jobs", 1));
   if (jobs <= 0) jobs = hardware_jobs();
   options.check_unused();
+  for (const std::string& balancer : balancers)
+    static_cast<void>(make_balancer(balancer, base.lb_options));
 
   // Each grid cell runs an independent pair of scenarios whose RNGs are
   // seeded from the cell's config, so the table is byte-identical for

@@ -1,7 +1,7 @@
 #include "core/balancer_factory.h"
 
+#include "core/forecasting_estimator.h"
 #include "core/gain_gated_lb.h"
-#include "core/smoothed_lb.h"
 #include "core/interference_aware_lb.h"
 #include "lb/registry.h"
 #include "util/check.h"
@@ -19,9 +19,15 @@ std::unique_ptr<LoadBalancer> make_balancer(const std::string& name,
     return std::make_unique<MigrationGainGatedLb>(gg);
   }
   if (name == "ia-refine-ewma") {
-    SmoothedInterferenceAwareLb::Options so;
-    so.base = options;
-    return std::make_unique<SmoothedInterferenceAwareLb>(so);
+    // A preset, not a strategy: ia-refine forecasting with the EWMA.
+    EstimatorMode& mode = options.robustness.estimator_mode;
+    CLB_CHECK_MSG(mode == EstimatorMode::kPersist ||
+                      mode == EstimatorMode::kEwma,
+                  "--balancer=ia-refine-ewma is ia-refine --estimator=ewma; "
+                  "it cannot be combined with --estimator="
+                      << estimator_mode_name(mode));
+    mode = EstimatorMode::kEwma;
+    return std::make_unique<InterferenceAwareRefineLb>(options);
   }
   auto baseline = make_baseline_balancer(name, options);
   CLB_CHECK_MSG(baseline != nullptr, "unknown balancer: " << name);

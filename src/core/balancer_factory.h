@@ -10,7 +10,9 @@ namespace cloudlb {
 
 /// Creates any strategy in the library by name: the baselines ("null",
 /// "greedy", "refine", "random") plus the paper's strategies ("ia-refine",
-/// "gain-gated"). Throws CheckFailure for unknown names.
+/// "gain-gated") and the "ia-refine-ewma" preset (ia-refine with
+/// estimator_mode = kEwma; any other forecasting mode is rejected).
+/// Throws CheckFailure for unknown names.
 std::unique_ptr<LoadBalancer> make_balancer(const std::string& name,
                                             LbOptions options = {});
 

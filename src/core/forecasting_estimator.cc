@@ -9,6 +9,13 @@ namespace cloudlb {
 
 namespace {
 
+/// Smoothing weight of the newest observation for the EWMA and trend
+/// forecasters and for every forecaster's error band.
+constexpr double kForecastAlpha = 0.5;
+
+/// History length of the windowed-least-squares forecaster.
+constexpr int kRegressWindow = 8;
+
 /// Shared per-PE error tracking: an EWMA of the absolute one-step-ahead
 /// prediction error, which is what the confidence band reports. Scaling
 /// the band linearly with the horizon is deliberately conservative —
@@ -178,9 +185,6 @@ class RegressForecaster final : public ForecastingEstimator {
 
 std::unique_ptr<ForecastingEstimator> make_forecasting_estimator(
     const LbRobustnessOptions& options) {
-  CLB_CHECK_MSG(
-      options.forecast_alpha > 0.0 && options.forecast_alpha <= 1.0,
-      "forecast alpha must be in (0, 1]; got " << options.forecast_alpha);
   CLB_CHECK_MSG(options.forecast_horizon > 0.0,
                 "forecast horizon must be positive; got "
                     << options.forecast_horizon);
@@ -191,15 +195,12 @@ std::unique_ptr<ForecastingEstimator> make_forecasting_estimator(
     case EstimatorMode::kPersist:
       return nullptr;
     case EstimatorMode::kEwma:
-      return std::make_unique<EwmaForecaster>(options.forecast_alpha);
+      return std::make_unique<EwmaForecaster>(kForecastAlpha);
     case EstimatorMode::kTrend:
-      return std::make_unique<TrendForecaster>(options.forecast_alpha);
+      return std::make_unique<TrendForecaster>(kForecastAlpha);
     case EstimatorMode::kRegress:
-      CLB_CHECK_MSG(options.forecast_window >= 2,
-                    "regression window needs at least 2 samples; got "
-                        << options.forecast_window);
-      return std::make_unique<RegressForecaster>(options.forecast_window,
-                                                 options.forecast_alpha);
+      return std::make_unique<RegressForecaster>(kRegressWindow,
+                                                 kForecastAlpha);
   }
   CLB_CHECK_MSG(false, "unhandled estimator mode");
   return nullptr;

@@ -1,5 +1,6 @@
 #pragma once
 
+#include "core/forecasting_estimator.h"
 #include "lb/framework.h"
 
 namespace cloudlb {
@@ -36,10 +37,15 @@ struct GainGateOptions {
 /// Cost is the serialized bytes of every moved chare times an assumed
 /// per-byte migration cost. When gain < cost · threshold the step keeps
 /// the current mapping.
+///
+/// The background estimate comes from the same front end as ia-refine's
+/// (ProactiveBackgroundEstimator), so the outlier clamp and forecasting
+/// modes of LbRobustnessOptions apply; the defaults are the raw Eq. 2
+/// estimate.
 class MigrationGainGatedLb final : public LoadBalancer {
  public:
   explicit MigrationGainGatedLb(GainGateOptions options)
-      : options_{options} {}
+      : options_{options}, estimator_{options.base.robustness} {}
   MigrationGainGatedLb() : MigrationGainGatedLb(GainGateOptions{}) {}
 
   std::string name() const override { return "gain-gated"; }
@@ -50,6 +56,7 @@ class MigrationGainGatedLb final : public LoadBalancer {
 
  private:
   GainGateOptions options_;
+  ProactiveBackgroundEstimator estimator_;
   int gated_steps_ = 0;
   int migrating_steps_ = 0;
 };

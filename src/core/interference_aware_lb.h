@@ -32,7 +32,12 @@ class InterferenceAwareRefineLb final : public LoadBalancer {
  public:
   explicit InterferenceAwareRefineLb(LbOptions options = {});
 
-  std::string name() const override { return "ia-refine"; }
+  /// The EWMA mode is the ia-refine-ewma preset, and says so.
+  std::string name() const override {
+    return options_.robustness.estimator_mode == EstimatorMode::kEwma
+               ? "ia-refine-ewma"
+               : "ia-refine";
+  }
   std::vector<PeId> assign(const LbStats& stats) override;
 
   /// Total chares moved across all assign() calls (diagnostics).

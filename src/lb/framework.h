@@ -105,13 +105,6 @@ struct LbRobustnessOptions {
   /// pessimism for fewer mispredict-triggered re-migrations. 0 plans
   /// against the point prediction alone.
   double forecast_margin = 0.0;
-
-  /// Smoothing weight of the newest observation for the EWMA and trend
-  /// forecasters, in (0, 1].
-  double forecast_alpha = 0.5;
-
-  /// History length of the windowed-least-squares forecaster (>= 2).
-  int forecast_window = 8;
 };
 
 /// Tuning shared by the refinement-style strategies.

@@ -1,7 +1,6 @@
 #include "runtime/job.h"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "runtime/shard_partition.h"
@@ -114,7 +113,6 @@ void RuntimeJob::start() {
       shard_of_pe_[p] = host_->shard_of_core(vm_.core_of(static_cast<int>(p)));
   }
   part_ = std::make_unique<ShardPartition>(shards, num_chares);
-  shard_summaries_.clear();
   reset_lb_window();
 
   for (auto& chare : chares_) chare->on_start();
@@ -255,7 +253,6 @@ void RuntimeJob::start_next_task(PeId pe) {
              [this, pe, begin, cost, m = std::move(msg)]() mutable {
                auto& seg = part_->seg(shard_of_pe(pe));
                seg.db.record_task(m.dest, cost.to_seconds());
-               seg.window_cpu_sec += cost.to_seconds();
                ++seg.tasks_executed;
                if (observer_ != nullptr)
                  observer_->on_task_executed(*this, pe, core_of_pe(pe),
@@ -278,6 +275,7 @@ void RuntimeJob::at_sync(ChareId chare) {
   const SimTime t = ctx_now(pe);
   ++seg.sync_count;
   seg.last_sync_time = t;
+  seg.last_sync_rank = engine_of_pe(pe).inherited_rank();
   // Mid-window only the shard-local subtotal is touched; completion is
   // detected at the barrier (merge_window_state) or, in a global phase,
   // right here with the merged counts.
@@ -309,6 +307,7 @@ void RuntimeJob::contribute(ChareId chare, double value) {
   auto& seg = part_->seg(shard_of_pe(pe));
   const SimTime t = ctx_now(pe);
   seg.contributions.emplace_back(t, value);
+  seg.last_contribution_rank = engine_of_pe(pe).inherited_rank();
   ++seg.red_count;
   if (!in_window()) maybe_complete_reduction(t);
 }
@@ -385,10 +384,6 @@ void RuntimeJob::run_lb_step() {
   // a real LB daemon would read from a degraded host, while the runtime's
   // own bookkeeping stays truthful.
   if (config_.faults != nullptr) config_.faults->perturb_stats(stats);
-  // LB-step cadence of the shard summaries: aggregate exactly the
-  // snapshot the strategy is about to see.
-  shard_summaries_ =
-      shard_summaries_from_stats(stats, shard_of_pe_, part_->shards());
   std::vector<PeId> new_assignment = balancer_->assign(stats);
   CLB_CHECK_MSG(new_assignment.size() == chares_.size(),
                 "balancer returned a mapping of the wrong size");
@@ -655,15 +650,6 @@ void RuntimeJob::validate_invariants() const {
                                << " contribution times out of order at "
                                << i);
       }
-      // The running duplicate vs. its database: same additions in a
-      // different association order, so compare with a tight relative
-      // tolerance rather than bitwise.
-      const double total = seg.db.window_total();
-      const double tol = 1e-9 * std::max(1.0, std::abs(total));
-      CLB_CHECK_MSG(std::abs(total - seg.window_cpu_sec) <= tol,
-                    "shard " << s << " load total " << seg.window_cpu_sec
-                             << " disagrees with its database ("
-                             << total << ")");
     }
   }
 }
@@ -778,7 +764,6 @@ void RuntimeJob::merge_window_state() {
   CLB_CHECK(host_ != nullptr);
   CLB_CHECK(!host_->in_window());
   if (!started_ || finished_) return;
-  refresh_barrier_summaries();
 
   const std::size_t fin = part_->finished_total();
   const std::size_t live = chares_.size() - fin;
@@ -797,15 +782,15 @@ void RuntimeJob::merge_window_state() {
     CLB_CHECK_MSG(red == 0,
                   "chares simultaneously at an AtSync barrier and inside a "
                   "reduction");
-    const SimTime t = part_->max_sync_time();
+    const auto [t, rank] = part_->last_sync();
     CLB_CHECK_MSG(fin == 0 || part_->max_finish_time() <= t,
                   name() << ": a chare finished after the last at_sync in "
                             "the same window; barrier completion is "
                             "ambiguous (the legacy engine would stall here)");
     host_->recover_to(t);
-    begin_lb_barrier(t);
+    with_inherited_rank(rank, [&] { begin_lb_barrier(t); });
   } else if (live > 0 && red > 0 && red == live) {
-    const SimTime t = part_->max_contribution_time();
+    const auto [t, rank] = part_->last_contribution();
     CLB_CHECK_MSG(fin == 0 || part_->max_finish_time() <= t,
                   name() << ": a chare finished after the last contribute "
                             "in the same window; reduction completion is "
@@ -813,44 +798,25 @@ void RuntimeJob::merge_window_state() {
     const double result = part_->reduction_sum();
     part_->clear_reduction();
     host_->recover_to(t);
-    complete_reduction(t, result);
+    with_inherited_rank(rank, [&] { complete_reduction(t, result); });
   } else if (fin == chares_.size()) {
+    // Finishing schedules nothing, so there is no rank to carry.
     const SimTime t = part_->max_finish_time();
     host_->recover_to(t);
     mark_finished(t);
   }
 }
 
-void RuntimeJob::refresh_barrier_summaries() {
-  // All shard clocks sit exactly at the barrier, so the idle counters are
-  // readable (and exact) at the global instant.
-  const SimTime now = host_->global_now();
-  const int shards = part_->shards();
-  shard_summaries_.assign(static_cast<std::size_t>(shards),
-                          ShardLoadSummary{});
-  std::vector<double> pe_task(pes_.size(), 0.0);
-  for (std::size_t c = 0; c < chares_.size(); ++c)
-    pe_task[static_cast<std::size_t>(assignment_[c])] +=
-        part_->chare_cpu(static_cast<ChareId>(c));
-  for (int s = 0; s < shards; ++s) {
-    ShardLoadSummary& sum = shard_summaries_[static_cast<std::size_t>(s)];
-    sum.shard = s;
-    sum.load_cpu_sec = part_->seg(s).window_cpu_sec;
-    sum.tasks = part_->seg(s).tasks_executed;
-  }
-  for (std::size_t p = 0; p < pes_.size(); ++p) {
-    ShardLoadSummary& sum =
-        shard_summaries_[static_cast<std::size_t>(shard_of_pe(
-            static_cast<PeId>(p)))];
-    ++sum.pes;
-    const double wall = (now - pes_[p].window_start).to_seconds();
-    const double idle =
-        (sampled_idle_at(static_cast<PeId>(p), now) - pes_[p].idle_anchor)
-            .to_seconds();
-    sum.wall_sec = std::max(sum.wall_sec, wall);
-    sum.idle_sec += idle;
-    sum.overhead_sec += std::max(0.0, wall - idle - pe_task[p]);
-  }
+void RuntimeJob::with_inherited_rank(std::uint64_t rank,
+                                     const std::function<void()>& fn) {
+  // The driving thread runs outside any event, at rank 0; on one engine
+  // the recovered collective would have completed inside the last
+  // arrival's event and everything it schedules would inherit that rank.
+  for (int s = 0; s < part_->shards(); ++s)
+    engine_of_shard(s).set_current_rank(rank);
+  fn();
+  for (int s = 0; s < part_->shards(); ++s)
+    engine_of_shard(s).set_current_rank(0);
 }
 
 void RuntimeJob::finalize_shard_state() {

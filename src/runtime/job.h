@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "lb/framework.h"
-#include "lb/shard_summary.h"
 #include "runtime/chare.h"
 #include "runtime/fault_hooks.h"
 #include "runtime/message.h"
@@ -177,14 +176,6 @@ class RuntimeJob {
   /// Total CPU consumed by the job's PEs (from core accounting).
   [[nodiscard]] SimTime cpu_consumed() const;
 
-  /// Per-shard {load, O_p} summaries, refreshed at every LB step (from
-  /// the LbStats snapshot the balancer saw) and, on a host, at every
-  /// window barrier (from the segments' running totals and the exact idle
-  /// counters). Empty before the first refresh.
-  [[nodiscard]] const std::vector<ShardLoadSummary>& shard_summaries() const {
-    return shard_summaries_;
-  }
-
   // --- Chare-facing API (called from Chare protected helpers). ---
 
   CLB_SHARD_CONFINED void send(ChareId from, ChareId to, int tag,
@@ -204,10 +195,10 @@ class RuntimeJob {
   /// exact).
   [[nodiscard]] CLB_BARRIER_PHASE bool needs_global_phase() const;
 
-  /// Barrier bookkeeping after each conservative window: refreshes the
-  /// per-shard summaries and recovers cascades that completed entirely
-  /// inside the window (rewinding the shard clocks to the completion
-  /// instant, or failing loudly when the window outran the cascade).
+  /// Barrier bookkeeping after each conservative window: recovers
+  /// cascades that completed entirely inside the window (rewinding the
+  /// shard clocks to the completion instant, or failing loudly when the
+  /// window outran the cascade). O(shards).
   CLB_BARRIER_PHASE void merge_window_state();
 
   /// Merges the lazily-partitioned tallies (iteration times) after
@@ -221,9 +212,9 @@ class RuntimeJob {
   /// per-PE message queues route consistently, the barrier/migration
   /// state machine is quiescent, and the partition segments are mutually
   /// consistent (finish counts match the done flags, reduction counters
-  /// match their contribution logs, contribution times are monotone per
-  /// shard, and the segment load totals match their databases). Throws
-  /// CheckFailure on violation. Must not be called mid-window.
+  /// match their contribution logs, and contribution times are monotone
+  /// per shard). Throws CheckFailure on violation. Must not be called
+  /// mid-window.
   CLB_BARRIER_PHASE void validate_invariants() const;
 
  private:
@@ -318,7 +309,10 @@ class RuntimeJob {
   /// Merges iteration `it`'s per-shard tallies; stamps and returns true
   /// when every chare has reported it.
   CLB_BARRIER_PHASE bool merge_iteration(std::size_t it);
-  CLB_BARRIER_PHASE CLB_CANONICAL_COMBINE void refresh_barrier_summaries();
+  /// Runs `fn` from the driving thread with every shard engine reporting
+  /// `rank` as the executing event's (barrier recovery).
+  CLB_BARRIER_PHASE void with_inherited_rank(std::uint64_t rank,
+                                             const std::function<void()>& fn);
 
   Simulator* sim_ = nullptr;            ///< set when built on a Simulator
   ShardedRuntimeHost* host_ = nullptr;  ///< set when built on a host
@@ -355,7 +349,6 @@ class RuntimeJob {
 
   std::unique_ptr<ShardPartition> part_;
   std::vector<int> shard_of_pe_;
-  std::vector<ShardLoadSummary> shard_summaries_;
 };
 
 }  // namespace cloudlb

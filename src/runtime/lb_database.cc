@@ -1,7 +1,6 @@
 #include "runtime/lb_database.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "util/check.h"
 
@@ -26,10 +25,6 @@ double LbDatabase::chare_cpu(ChareId chare) const {
   CLB_CHECK(chare >= 0 &&
             static_cast<std::size_t>(chare) < window_cpu_.size());
   return window_cpu_[static_cast<std::size_t>(chare)];
-}
-
-double LbDatabase::window_total() const {
-  return std::accumulate(window_cpu_.begin(), window_cpu_.end(), 0.0);
 }
 
 }  // namespace cloudlb

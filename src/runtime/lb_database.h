@@ -27,9 +27,6 @@ class LbDatabase {
 
   std::size_t num_chares() const { return window_cpu_.size(); }
 
-  /// Total task CPU recorded in the current window.
-  double window_total() const;
-
  private:
   std::vector<double> window_cpu_;
 };

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -29,11 +30,6 @@ struct alignas(64) CLB_SHARD_CONFINED ShardSegment {
   /// nonzero value and zeros: bit-identical to a single database.
   LbDatabase db;
 
-  /// Running duplicate of db's window total, maintained so the barrier
-  /// bookkeeping can refresh per-shard load summaries in O(shards)
-  /// without walking the databases.
-  double window_cpu_sec = 0.0;
-
   // Window-local counters (merged into Counters on demand).
   std::int64_t tasks_executed = 0;
   std::int64_t messages_sent = 0;
@@ -42,10 +38,15 @@ struct alignas(64) CLB_SHARD_CONFINED ShardSegment {
   // an AtSync barrier / have contributed to the open reduction / have
   // finished, and when the last of each happened. The host's window
   // merge sums the counts across shards to detect quiescence and takes
-  // the max of the times to recover the exact completion instant.
+  // the max of the times to recover the exact completion instant. The
+  // ranks are those of the events that ran the last at_sync/contribute:
+  // on one engine the collective completes inside that event, so what it
+  // schedules inherits that rank.
   std::size_t sync_count = 0;
   SimTime last_sync_time;
+  std::uint64_t last_sync_rank = 0;
   std::size_t red_count = 0;
+  std::uint64_t last_contribution_rank = 0;
   /// (time, value) per contribution, in this shard's execution order —
   /// replayed in canonical shard-then-time order by the global merge so
   /// the reduction sum is independent of worker count.
@@ -60,12 +61,13 @@ struct alignas(64) CLB_SHARD_CONFINED ShardSegment {
 
   void reset(std::size_t num_chares) {
     db.reset(num_chares);
-    window_cpu_sec = 0.0;
     tasks_executed = 0;
     messages_sent = 0;
     sync_count = 0;
     last_sync_time = SimTime::zero();
+    last_sync_rank = 0;
     red_count = 0;
+    last_contribution_rank = 0;
     contributions.clear();
     finished_chares = 0;
     last_finish_time = SimTime::zero();
@@ -125,18 +127,26 @@ class ShardPartition {
     return n;
   }
 
-  [[nodiscard]] CLB_BARRIER_PHASE SimTime max_sync_time() const {
-    SimTime t = SimTime::zero();
+  /// (time, rank) of the latest at_sync across shards. A time tie goes
+  /// to the higher rank, which a single engine would have run later.
+  [[nodiscard]] CLB_BARRIER_PHASE std::pair<SimTime, std::uint64_t>
+  last_sync() const {
+    std::pair<SimTime, std::uint64_t> last{};
     for (const auto& s : segs_)
-      if (s.sync_count > 0 && s.last_sync_time > t) t = s.last_sync_time;
-    return t;
+      if (s.sync_count > 0)
+        last = std::max(last, {s.last_sync_time, s.last_sync_rank});
+    return last;
   }
-  [[nodiscard]] CLB_BARRIER_PHASE SimTime max_contribution_time() const {
-    SimTime t = SimTime::zero();
+  /// (time, rank) of the latest contribution across shards, as above;
+  /// each shard's log is in its own execution order.
+  [[nodiscard]] CLB_BARRIER_PHASE std::pair<SimTime, std::uint64_t>
+  last_contribution() const {
+    std::pair<SimTime, std::uint64_t> last{};
     for (const auto& s : segs_)
-      for (const auto& [ct, value] : s.contributions)
-        if (ct > t) t = ct;
-    return t;
+      if (!s.contributions.empty())
+        last = std::max(last, {s.contributions.back().first,
+                               s.last_contribution_rank});
+    return last;
   }
   [[nodiscard]] CLB_BARRIER_PHASE SimTime max_finish_time() const {
     SimTime t = SimTime::zero();
@@ -171,10 +181,7 @@ class ShardPartition {
   }
 
   CLB_BARRIER_PHASE void clear_windows() {
-    for (auto& s : segs_) {
-      s.db.clear_window();
-      s.window_cpu_sec = 0.0;
-    }
+    for (auto& s : segs_) s.db.clear_window();
   }
 
   /// Clears the barrier-wave state after an AtSync wave completes.
@@ -182,6 +189,7 @@ class ShardPartition {
     for (auto& s : segs_) {
       s.sync_count = 0;
       s.last_sync_time = SimTime::zero();
+      s.last_sync_rank = 0;
     }
   }
 
@@ -190,6 +198,7 @@ class ShardPartition {
     for (auto& s : segs_) {
       s.red_count = 0;
       s.contributions.clear();
+      s.last_contribution_rank = 0;
     }
   }
 

@@ -7,6 +7,7 @@
 #include "util/check.h"
 #include "util/log.h"
 #include "util/shard_annotations.h"
+#include "util/validate.h"
 
 namespace cloudlb {
 
@@ -150,12 +151,13 @@ void ShardedRuntimeHost::drive(std::uint64_t max_events) {
     }
     in_window_ = false;
 
-    // Barrier bookkeeping: per-shard summaries refresh and in-window
-    // cascade completions recover, in job registration order.
+    // Barrier bookkeeping: in-window cascade completions recover, in job
+    // registration order.
     for (RuntimeJob* j : jobs_) j->merge_window_state();
   }
 
   for (RuntimeJob* j : jobs_) j->finalize_shard_state();
+  if (validation_enabled()) sharded_.validate_integrity();
   driving_ = false;
 }
 

@@ -24,7 +24,7 @@ class RuntimeJob;
 ///    Jobs touch only their shard-local partition segments, so windows
 ///    are data-race free by construction. After each window the host
 ///    runs every job's barrier bookkeeping (merge_window_state), which
-///    refreshes per-shard load summaries and detects barrier waves.
+///    detects barrier waves.
 ///
 ///  * **Global phases** — the moment any job has collective state in
 ///    motion (an AtSync wave, an open reduction, a pending broadcast, a

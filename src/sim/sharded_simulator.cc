@@ -5,7 +5,6 @@
 #include "util/check.h"
 #include "util/shard_annotations.h"
 #include "util/thread_pool.h"
-#include "util/validate.h"
 
 namespace cloudlb {
 
@@ -27,10 +26,6 @@ ShardedSimulator::ShardedSimulator(const Config& config) : config_{config} {
 
 ShardedSimulator::~ShardedSimulator() = default;
 
-int ShardedSimulator::workers() const {
-  return team_ != nullptr ? team_->workers() : 1;
-}
-
 void ShardedSimulator::check_shard_access(int shard, const char* what) const {
   CLB_CHECK_MSG(shard >= 0 && shard < shards(),
                 what << " shard out of range: " << shard);
@@ -41,31 +36,6 @@ void ShardedSimulator::check_shard_access(int shard, const char* what) const {
       "shared-nothing contract violated: " << what << " shard " << shard
           << " from a worker that does not own it this window (cross-shard "
              "interaction must go through post())");
-}
-
-ShardEventHandle ShardedSimulator::schedule_at(int shard, SimTime t,
-                                               Callback cb) {
-  check_shard_access(shard, "schedule_at on");
-  return ShardEventHandle{
-      states_[static_cast<std::size_t>(shard)]->engine.schedule_at(
-          t, std::move(cb)),
-      shard};
-}
-
-ShardEventHandle ShardedSimulator::schedule_after(int shard, SimTime delay,
-                                                  Callback cb) {
-  check_shard_access(shard, "schedule_after on");
-  return ShardEventHandle{
-      states_[static_cast<std::size_t>(shard)]->engine.schedule_after(
-          delay, std::move(cb)),
-      shard};
-}
-
-bool ShardedSimulator::cancel(const ShardEventHandle& h) {
-  if (!h.valid()) return false;
-  check_shard_access(h.shard(), "cancel on");
-  return states_[static_cast<std::size_t>(h.shard())]->engine.cancel(
-      h.inner_);
 }
 
 void ShardedSimulator::post(int src, int dst, SimTime latency, Callback cb) {
@@ -88,7 +58,6 @@ void ShardedSimulator::post(int src, int dst, SimTime latency, Callback cb) {
   st.outbox.push_back(ShardEnvelope{st.engine.now() + latency,
                                     st.engine.now(), st.engine.current_rank(),
                                     st.chan_seq++, src, dst, std::move(cb)});
-  cross_posts_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void ShardedSimulator::reserve(std::size_t events_per_shard,
@@ -126,7 +95,6 @@ void ShardedSimulator::flush_mailboxes() {
                       << " is behind the barrier " << now_.to_string());
     states_[static_cast<std::size_t>(e.dst)]->engine.schedule_at_ranked(
         e.deliver, e.sent, e.rank, std::move(e.cb));
-    ++cross_delivered_;
   }
   merge_scratch_.clear();
 }
@@ -137,17 +105,13 @@ SimTime ShardedSimulator::window_end_for(SimTime t) const {
   return SimTime::nanos((t.ns() / w + 1) * w);
 }
 
-void ShardedSimulator::run_window(SimTime end, bool inclusive) {
+void ShardedSimulator::run_window(SimTime end) {
   ++windows_run_;
   in_window_ = true;
-  const auto run_shard = [this, end, inclusive](int s) {
+  const auto run_shard = [this, end](int s) {
     ShardState& st = *states_[static_cast<std::size_t>(s)];
     st.owner.store(std::this_thread::get_id(), std::memory_order_relaxed);
-    if (inclusive) {
-      st.engine.run_until(end);
-    } else {
-      st.engine.run_before(end);
-    }
+    st.engine.run_before(end);
   };
   try {
     if (team_ != nullptr) {
@@ -187,46 +151,6 @@ void ShardedSimulator::emit_trace() {
     trace_(r.time, static_cast<int>(r.shard), r.seq);
 }
 
-void ShardedSimulator::run() {
-  for (;;) {
-    flush_mailboxes();
-    const std::optional<SimTime> next = earliest_pending();
-    if (!next) break;
-    const SimTime end = window_end_for(*next);
-    run_window(end, /*inclusive=*/false);
-    now_ = end;
-    emit_trace();
-  }
-  if (validation_enabled()) validate_integrity();
-}
-
-void ShardedSimulator::run_until(SimTime t) {
-  CLB_CHECK_MSG(t >= now_, "run_until(" << t.to_string()
-                               << ") is behind the barrier clock ("
-                               << now_.to_string() << ")");
-  for (;;) {
-    flush_mailboxes();
-    const std::optional<SimTime> next = earliest_pending();
-    if (!next || *next > t) break;
-    const SimTime end = window_end_for(*next);
-    if (end <= t) {
-      run_window(end, /*inclusive=*/false);
-      now_ = end;
-    } else {
-      // Final partial window, inclusive of t. Safe concurrently: anything
-      // posted here delivers >= send + lookahead > t and stays buffered.
-      run_window(t, /*inclusive=*/true);
-      now_ = t;
-    }
-    emit_trace();
-  }
-  // Idle shards may still hold earlier clocks; everyone meets at t.
-  for (auto& st : states_)
-    if (st->engine.now() < t) st->engine.run_until(t);
-  now_ = t;
-  if (validation_enabled()) validate_integrity();
-}
-
 std::optional<SimTime> ShardedSimulator::next_event_time() {
   flush_mailboxes();
   return earliest_pending();
@@ -244,7 +168,7 @@ SimTime ShardedSimulator::run_one_window(std::optional<SimTime> cap) {
   CLB_CHECK_MSG(*next < end, "run_one_window makes no progress: next event "
                                  << next->to_string() << " not before "
                                  << end.to_string());
-  run_window(end, /*inclusive=*/false);
+  run_window(end);
   now_ = end;
   emit_trace();
   return end;
@@ -318,22 +242,9 @@ EngineCore& ShardedSimulator::shard_engine(int shard) {
   return states_[static_cast<std::size_t>(shard)]->engine;
 }
 
-const EngineCore& ShardedSimulator::shard_engine(int shard) const {
-  CLB_CHECK_MSG(shard >= 0 && shard < shards(),
-                "shard_engine for shard out of range: " << shard);
-  return states_[static_cast<std::size_t>(shard)]->engine;
-}
-
 std::uint64_t ShardedSimulator::executed() const {
   std::uint64_t total = 0;
   for (const auto& st : states_) total += st->engine.executed();
-  return total;
-}
-
-std::size_t ShardedSimulator::pending() const {
-  std::size_t total = 0;
-  for (const auto& st : states_)
-    total += st->engine.pending() + st->outbox.size();
   return total;
 }
 

@@ -16,27 +16,6 @@ namespace cloudlb {
 
 class WorkerTeam;
 
-/// Handle to an event scheduled on one shard of a ShardedSimulator. On top
-/// of the slot/generation pair it stamps the owning shard, because a bare
-/// EventHandle presented to the wrong shard's arena could silently cancel
-/// an unrelated event whose slot/generation happen to collide. Cross-shard
-/// cancellation is therefore refused loudly at runtime (CLB_CHECK) and
-/// flagged statically by analyzer-stale-handle.
-class ShardEventHandle {
- public:
-  ShardEventHandle() = default;
-  [[nodiscard]] bool valid() const { return inner_.valid(); }
-  /// Owning shard index; -1 for an inert handle.
-  [[nodiscard]] int shard() const { return shard_; }
-
- private:
-  friend class ShardedSimulator;
-  ShardEventHandle(EventHandle inner, int shard)
-      : inner_{inner}, shard_{static_cast<std::int32_t>(shard)} {}
-  EventHandle inner_;
-  std::int32_t shard_ = -1;
-};
-
 /// One buffered cross-shard delivery — the unit of the channel merge.
 /// `seq` is a per-source channel counter, so (deliver, src, seq) is a
 /// total order and the merge at a window barrier is deterministic: every
@@ -83,9 +62,13 @@ struct ShardEnvelope {
 /// what makes the parallel mode testable against a serial oracle.
 ///
 /// Contract: during a window, a callback may only touch its own shard
-/// (schedule, cancel, post from itself); the shared-nothing rule is
+/// (its shard_engine, or post from itself); the shared-nothing rule is
 /// enforced with CLB_CHECK against the owning worker thread. Between
 /// windows (setup, or from the driving thread) any shard is accessible.
+///
+/// ShardedRuntimeHost is the one driver: it alternates run_one_window
+/// with step_global and does its barrier bookkeeping in between, so the
+/// engine has no window loop of its own.
 class ShardedSimulator {
  public:
   using Callback = EngineCore::Callback;
@@ -116,30 +99,11 @@ class ShardedSimulator {
   ShardedSimulator& operator=(const ShardedSimulator&) = delete;
 
   [[nodiscard]] int shards() const { return static_cast<int>(states_.size()); }
-  [[nodiscard]] SimTime lookahead() const { return config_.lookahead; }
-  [[nodiscard]] bool parallel() const { return team_ != nullptr; }
-  /// Workers actually executing windows (1 in serial mode).
-  [[nodiscard]] int workers() const;
 
   /// Global window clock: the last barrier passed. Shard clocks advance
   /// inside [now(), now()+lookahead) during a window and all meet at the
   /// next barrier.
   [[nodiscard]] SimTime now() const { return now_; }
-
-  /// Schedules `cb` on `shard` at absolute time `t`. During a window only
-  /// the shard's owning worker may call this (shared-nothing contract).
-  CLB_SHARD_CONFINED ShardEventHandle schedule_at(int shard, SimTime t,
-                                                  Callback cb);
-
-  /// Schedules `cb` on `shard` at that shard's now() + delay.
-  CLB_SHARD_CONFINED ShardEventHandle schedule_after(int shard, SimTime delay,
-                                                     Callback cb);
-
-  /// Cancels a pending event on its owning shard. During a window the
-  /// caller must own that shard: presenting another shard's handle is the
-  /// cross-shard misuse this handle type exists to catch, and fails a
-  /// CLB_CHECK rather than corrupting the foreign arena.
-  [[nodiscard]] CLB_SHARD_CONFINED bool cancel(const ShardEventHandle& h);
 
   /// Cross-shard send: delivers `cb` on shard `dst` at src's now() +
   /// latency. Cross-shard posts require latency >= lookahead() — the
@@ -152,21 +116,12 @@ class ShardedSimulator {
   CLB_BARRIER_PHASE void reserve(std::size_t events_per_shard,
                                  std::size_t slots_per_shard);
 
-  /// Runs windows until every shard and mailbox drains.
-  void run();
-
-  /// Runs every event with timestamp <= `t`, then advances all clocks to
-  /// `t`. Cross-shard messages still in flight past `t` stay buffered for
-  /// a later run()/run_until().
-  CLB_BARRIER_PHASE void run_until(SimTime t);
-
-  // --- Externally driven execution (the sharded runtime host). The
-  // methods below let a driver interleave conservative windows with
-  // serialized global phases: run_one_window advances one window at a
-  // time so the driver can do barrier bookkeeping between windows, and
-  // step_global executes events one at a time in canonical global
-  // (time, shard, seq) order — shards stay mutually consistent because
-  // only the driving thread runs, outside any window, where the
+  // --- Externally driven execution. The driver interleaves conservative
+  // windows with serialized global phases: run_one_window advances one
+  // window at a time so the driver can do barrier bookkeeping between
+  // windows, and step_global executes events one at a time in canonical
+  // global (time, shard, seq) order — shards stay mutually consistent
+  // because only the driving thread runs, outside any window, where the
   // shared-nothing restriction is deliberately lifted.
 
   /// Flushes pending cross-shard mail, then reports the earliest live
@@ -206,27 +161,13 @@ class ShardedSimulator {
   // execution, hence the shard-confined context on the installer.
   CLB_SHARD_CONFINED void set_trace_hook(TraceHook hook);
 
-  /// Direct access to one shard's engine, for plumbing and monitoring.
-  /// Scheduling through it mid-window bypasses the mailbox protocol —
-  /// callers inside callbacks should use schedule_at/post instead.
+  /// One shard's engine: where events on that shard are scheduled and
+  /// cancelled. Mid-window only the shard's owning worker may ask for it
+  /// (CLB_CHECKed); cross-shard sends go through post().
   [[nodiscard]] CLB_SHARD_CONFINED EngineCore& shard_engine(int shard);
-  [[nodiscard]] CLB_BARRIER_PHASE const EngineCore& shard_engine(
-      int shard) const;
 
   /// Total events executed across all shards.
   [[nodiscard]] CLB_BARRIER_PHASE std::uint64_t executed() const;
-  /// Pending events across all shards plus undelivered mailbox envelopes.
-  [[nodiscard]] CLB_BARRIER_PHASE std::size_t pending() const;
-  /// Cross-shard envelopes posted so far (monitoring).
-  [[nodiscard]] std::uint64_t cross_posts() const {
-    return cross_posts_.load(std::memory_order_relaxed);
-  }
-  /// Cross-shard envelopes injected at barriers so far. Equals
-  /// cross_posts() whenever no envelope is still buffered — the
-  /// no-message-lost conservation the property tests pin.
-  [[nodiscard]] std::uint64_t cross_delivered() const {
-    return cross_delivered_;
-  }
   /// Windows executed so far (monitoring / window-width sensitivity).
   [[nodiscard]] std::uint64_t windows_run() const { return windows_run_; }
 
@@ -258,8 +199,7 @@ class ShardedSimulator {
   // Warm-path: one closure per window is handed to WorkerTeam::run_round
   // by FunctionRef (borrowed, never type-erased into an owning wrapper),
   // so driving a round allocates nothing.
-  CLB_SHARD_CONFINED CLB_WARM_PATH void run_window(SimTime end,
-                                                   bool inclusive);
+  CLB_SHARD_CONFINED CLB_WARM_PATH void run_window(SimTime end);
   CLB_BARRIER_PHASE void emit_trace();
   [[nodiscard]] SimTime window_end_for(SimTime t) const;
 
@@ -276,10 +216,6 @@ class ShardedSimulator {
     std::uint64_t seq;
   };
   std::vector<TraceRecord> trace_scratch_;
-  /// Counted from post(), which worker threads call concurrently —
-  /// relaxed is enough for a monitoring counter.
-  std::atomic<std::uint64_t> cross_posts_{0};
-  std::uint64_t cross_delivered_ = 0;
   std::uint64_t windows_run_ = 0;
   std::uint64_t global_steps_ = 0;
 };

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <numeric>
 
 #include "core/balancer_factory.h"
@@ -129,9 +130,12 @@ TEST(AmpiTest, FifoPerSourceAndTag) {
       for (int i = 0; i < 5; ++i) self.send(1, 1, {static_cast<double>(i)});
       self.done();
     } else {
-      std::shared_ptr<std::function<void()>> loop =
-          std::make_shared<std::function<void()>>();
-      *loop = [&self, &seen, loop] {
+      const auto recv_loop = std::make_shared<std::function<void()>>();
+      // The stored lambda holds itself weakly: pending callbacks own the
+      // loop, so it is freed after the last one runs instead of leaking
+      // as a self-cycle.
+      *recv_loop = [&self, &seen, weak = std::weak_ptr(recv_loop)] {
+        const auto loop = weak.lock();
         self.recv(0, 1, [&self, &seen, loop](std::vector<double> d) {
           seen.push_back(d[0]);
           if (seen.size() < 5) {
@@ -141,7 +145,7 @@ TEST(AmpiTest, FifoPerSourceAndTag) {
           }
         });
       };
-      (*loop)();
+      (*recv_loop)();
     }
   });
   rig.run();
@@ -253,8 +257,13 @@ TEST(AmpiTest, RingStencilMatchesSerialReference) {
     const int left = (self.rank() + kRanks - 1) % kRanks;
     const int right = (self.rank() + 1) % kRanks;
 
-    auto step = std::make_shared<std::function<void()>>();
-    *step = [&self, st, left, right, step, &finals] {
+    const auto step_fn = std::make_shared<std::function<void()>>();
+    // The stored lambda holds itself weakly: pending callbacks own the
+    // step, so it is freed after the last one runs instead of leaking as
+    // a self-cycle.
+    *step_fn = [&self, st, left, right, weak = std::weak_ptr(step_fn),
+                &finals] {
+      const auto step = weak.lock();
       if (st->iter == kIters) {
         finals[static_cast<std::size_t>(self.rank())] = st->x;
         self.done();
@@ -274,7 +283,7 @@ TEST(AmpiTest, RingStencilMatchesSerialReference) {
         });
       });
     };
-    (*step)();
+    (*step_fn)();
   });
   rig.run();
   for (int i = 0; i < kRanks; ++i)
@@ -290,8 +299,10 @@ TEST(AmpiTest, SyncAllowsMigrationUnderInterference) {
     SyntheticInterferer hog{rig.sim, rig.machine, {0}};
     ampi::populate_ranks(*rig.job, 16, [&](Rank& self) {
       auto iter = std::make_shared<int>(0);
-      auto step = std::make_shared<std::function<void()>>();
-      *step = [&self, iter, step] {
+      const auto step_fn = std::make_shared<std::function<void()>>();
+      // Held weakly by itself, strongly by pending callbacks (no cycle).
+      *step_fn = [&self, iter, weak = std::weak_ptr(step_fn)] {
+        const auto step = weak.lock();
         if (*iter == 24) {
           self.done();
           return;
@@ -305,7 +316,7 @@ TEST(AmpiTest, SyncAllowsMigrationUnderInterference) {
           }
         });
       };
-      (*step)();
+      (*step_fn)();
     });
     hog.start();
     rig.job->start();

@@ -127,26 +127,6 @@ class Simulator {
   void run();
 };
 
-struct ShardEventHandle {
-  bool valid() const;
-  int shard() const;
-};
-
-class ShardedSimulator {
- public:
-  template <class F>
-  ShardEventHandle schedule_after(int, SimTime, F) {
-    return ShardEventHandle{};
-  }
-  template <class F>
-  ShardEventHandle schedule_at(int, SimTime, F) {
-    return ShardEventHandle{};
-  }
-  [[nodiscard]] bool cancel(const ShardEventHandle&);
-  SimTime now() const;
-  void run();
-};
-
 class EngineCore {
  public:
   template <class F>

@@ -36,27 +36,4 @@ struct Meter {
   }
 };
 
-// The sharded engine's shard-stamped handle dies the same way when
-// ShardedSimulator::cancel retires it.
-void observe_shard(cloudlb::ShardEventHandle h);
-
-void sharded_cancel_then_read(cloudlb::ShardedSimulator& sim,
-                              cloudlb::ShardEventHandle h) {
-  static_cast<void>(sim.cancel(h));
-  observe_shard(h);  // EXPECT-ANALYZER(stale-handle)
-}
-
-// Reading the shard stamp off a retired handle is dead state too.
-int sharded_cancel_then_shard(cloudlb::ShardedSimulator& sim,
-                              cloudlb::ShardEventHandle h) {
-  static_cast<void>(sim.cancel(h));
-  return h.shard();  // EXPECT-ANALYZER(stale-handle)
-}
-
-void sharded_double_cancel(cloudlb::ShardedSimulator& sim,
-                           cloudlb::ShardEventHandle h) {
-  static_cast<void>(sim.cancel(h));
-  static_cast<void>(sim.cancel(h));  // EXPECT-ANALYZER(stale-handle)
-}
-
 }  // namespace fixture

@@ -41,15 +41,4 @@ void lambda_is_opaque(cloudlb::Simulator& sim, cloudlb::EventHandle h) {
       sim.schedule_after(cloudlb::SimTime::millis(1), [&h] { observe(h); }));
 }
 
-// The sharded handle revives through reassignment exactly like the
-// legacy one.
-void observe_shard(cloudlb::ShardEventHandle h);
-
-void sharded_cancel_then_rearm(cloudlb::ShardedSimulator& sim,
-                               cloudlb::ShardEventHandle h) {
-  static_cast<void>(sim.cancel(h));
-  h = sim.schedule_after(0, cloudlb::SimTime::millis(5), [] {});
-  observe_shard(h);
-}
-
 }  // namespace fixture

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "cli/cli.h"
 #include "util/check.h"
@@ -336,6 +339,91 @@ TEST(CliTest, NegativeForecastMarginFailsAtParse) {
                            "--estimator=ewma", "--forecast-margin=-0.5"});
   EXPECT_EQ(r.code, 1);
   EXPECT_NE(r.err.find("--forecast-margin"), std::string::npos) << r.err;
+}
+
+TEST(CliTest, EstimatorFlagsWithBlindBalancersFailAtParse) {
+  // The baselines estimate no background load; a flag they would ignore
+  // is an error naming the flag and the balancer, in every single-
+  // balancer command.
+  for (const char* balancer : {"null", "greedy", "refine", "random"}) {
+    for (const std::string arg :
+         {"--estimator=regress", "--estimator-window=3",
+          "--estimator-clamp-factor=2", "--forecast-horizon=2",
+          "--forecast-margin=1", "--lb-fallback"}) {
+      const std::string name = std::string{"--balancer="} + balancer;
+      const std::string flag = arg.substr(0, arg.find('='));
+      const CliResult r = cli({"penalty", "--app=jacobi2d", "--cores=4",
+                               "--iterations=20", name, arg});
+      EXPECT_EQ(r.code, 1) << name << ' ' << arg;
+      EXPECT_NE(r.err.find(flag + " has no effect"), std::string::npos)
+          << r.err;
+      EXPECT_NE(r.err.find(name), std::string::npos) << r.err;
+    }
+  }
+  for (const char* command : {"record", "timeline"}) {
+    const CliResult r =
+        cli({command, "--out=/dev/null", "--balancer=refine",
+             "--estimator=regress"});
+    EXPECT_EQ(r.code, 1) << command;
+    EXPECT_NE(r.err.find("--estimator"), std::string::npos) << r.err;
+  }
+}
+
+TEST(CliTest, LbFallbackWithGainGatedFailsAtParse) {
+  const CliResult r = cli({"penalty", "--app=jacobi2d", "--cores=4",
+                           "--iterations=20", "--balancer=gain-gated",
+                           "--lb-fallback"});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find("--lb-fallback"), std::string::npos) << r.err;
+  EXPECT_NE(r.err.find("--balancer=gain-gated"), std::string::npos) << r.err;
+}
+
+TEST(CliTest, GainGatedHonoursTheEstimator) {
+  // gain-gated estimates through ia-refine's front end, so a forecasting
+  // mode changes its decisions instead of being dropped.
+  const auto run = [](const char* estimator) {
+    return cli({"penalty", "--app=jacobi2d", "--cores=4", "--iterations=20",
+                "--bg-iterations=40", "--balancer=gain-gated", estimator});
+  };
+  const CliResult persist = run("--estimator=persist");
+  const CliResult regress = run("--estimator=regress");
+  ASSERT_EQ(persist.code, 0) << persist.err;
+  ASSERT_EQ(regress.code, 0) << regress.err;
+  EXPECT_NE(persist.out, regress.out);
+}
+
+TEST(CliTest, EwmaPresetIsIaRefineWithTheEwmaEstimator) {
+  const auto run = [](std::vector<std::string> extra) {
+    std::vector<std::string> args = {"penalty", "--app=jacobi2d",
+                                     "--cores=8", "--tenants=4",
+                                     "--iterations=20", "--csv"};
+    args.insert(args.end(), extra.begin(), extra.end());
+    return cli(args);
+  };
+  CliResult preset = run({"--balancer=ia-refine-ewma"});
+  const CliResult spelled = run({"--balancer=ia-refine", "--estimator=ewma"});
+  ASSERT_EQ(preset.code, 0) << preset.err;
+  ASSERT_EQ(spelled.code, 0) << spelled.err;
+  // Only the echoed balancer name differs.
+  const std::string from = "ia-refine-ewma";
+  preset.out.replace(preset.out.find(from), from.size(), "ia-refine");
+  EXPECT_EQ(preset.out, spelled.out);
+}
+
+TEST(CliTest, EwmaPresetWithAnotherEstimatorFailsAtParse) {
+  // sweep too: the preset conflict is not a blind-balancer flag.
+  const std::vector<std::pair<std::string, std::string>> runs = {
+      {"penalty", "--balancer=ia-refine-ewma"},
+      {"sweep", "--balancers=null,ia-refine-ewma"}};
+  for (const auto& [command, balancer] : runs) {
+    const CliResult r = cli({command, "--app=jacobi2d", "--cores=4",
+                             "--iterations=20", balancer,
+                             "--estimator=trend"});
+    EXPECT_EQ(r.code, 1) << command;
+    EXPECT_NE(r.err.find("--balancer=ia-refine-ewma"), std::string::npos)
+        << r.err;
+    EXPECT_NE(r.err.find("--estimator=trend"), std::string::npos) << r.err;
+  }
 }
 
 TEST(CliTest, ForecastingPenaltyRunsEndToEnd) {

@@ -11,7 +11,6 @@
 #include "core/interference_aware_lb.h"
 #include "core/replay.h"
 #include "core/scenario.h"
-#include "core/smoothed_lb.h"
 #include "util/check.h"
 
 namespace cloudlb {
@@ -247,60 +246,62 @@ TEST(GainGatedLbTest, HorizonAmortizesMigrationCost) {
   EXPECT_NE(persistent.assign(stats), stats.current_assignment());
 }
 
-// ------------------------------------------------- SmoothedInterferenceAwareLb
+// ------------------------------------------------- ia-refine-ewma preset
 
-TEST(SmoothedLbTest, AlphaOneMatchesPlainIaRefine) {
-  SmoothedInterferenceAwareLb::Options options;
-  options.alpha = 1.0;
-  SmoothedInterferenceAwareLb smoothed{options};
+// The preset's estimator front end: ia-refine's, in EWMA mode (α = 0.5).
+ProactiveBackgroundEstimator ewma_estimator() {
+  LbRobustnessOptions options;
+  options.estimator_mode = EstimatorMode::kEwma;
+  return ProactiveBackgroundEstimator{options};
+}
+
+TEST(SmoothedLbTest, FirstWindowMatchesPlainIaRefine) {
+  // The EWMA seeds from its first observation, so the preset's first
+  // decision is ia-refine's.
+  const auto smoothed = make_balancer("ia-refine-ewma");
   InterferenceAwareRefineLb plain;
   const std::vector<double> bg = {6.0, 0.0};
   const LbStats stats = make_stats(2, std::vector<double>(8, 1.0),
                                    {0, 0, 0, 0, 1, 1, 1, 1}, 10.0, bg);
-  EXPECT_EQ(smoothed.assign(stats), plain.assign(stats));
+  EXPECT_EQ(smoothed->assign(stats), plain.assign(stats));
 }
 
 TEST(SmoothedLbTest, EwmaConvergesToSteadyBackground) {
-  SmoothedInterferenceAwareLb::Options options;
-  options.alpha = 0.5;
-  SmoothedInterferenceAwareLb lb{options};
-  const std::vector<double> bg = {4.0, 0.0};
-  std::vector<PeId> assign{0, 0, 1, 1};
-  for (int window = 0; window < 8; ++window) {
-    const LbStats stats =
-        make_stats(2, {1.0, 1.0, 1.0, 1.0}, assign, 10.0, bg);
-    assign = lb.assign(stats);
+  // After a quiet window a steady 4 s background is approached
+  // geometrically: 4·(1 − 0.5^k) after k windows.
+  ProactiveBackgroundEstimator estimator = ewma_estimator();
+  const std::vector<PeId> assign{0, 0, 1, 1};
+  const std::vector<double> cpu{1.0, 1.0, 1.0, 1.0};
+  static_cast<void>(
+      estimator.estimate(make_stats(2, cpu, assign, 10.0, {0.0, 0.0})));
+  std::vector<double> smoothed;
+  for (int window = 1; window <= 8; ++window) {
+    smoothed = estimator.estimate(make_stats(2, cpu, assign, 10.0, {4.0, 0.0}));
+    EXPECT_NEAR(smoothed[0], 4.0 * (1.0 - std::pow(0.5, window)), 1e-9);
   }
-  ASSERT_EQ(lb.smoothed_background().size(), 2u);
-  EXPECT_NEAR(lb.smoothed_background()[0], 4.0, 0.1);
-  EXPECT_NEAR(lb.smoothed_background()[1], 0.0, 1e-9);
+  EXPECT_NEAR(smoothed[0], 4.0, 0.1);
+  EXPECT_NEAR(smoothed[1], 0.0, 1e-9);
 }
 
 TEST(SmoothedLbTest, DampsOneWindowBlip) {
-  // A single noisy window barely moves the smoothed estimate.
-  SmoothedInterferenceAwareLb::Options options;
-  options.alpha = 0.2;
-  SmoothedInterferenceAwareLb lb{options};
+  // After quiet windows an 8 s blip reads as α·8 = 4 s: too little to
+  // justify moving a 3 s chare, while plain ia-refine chases the raw 8 s.
   const std::vector<double> quiet = {0.0, 0.0};
   const std::vector<double> blip = {8.0, 0.0};
-  std::vector<PeId> assign{0, 0, 1, 1};
-  const std::vector<double> cpu{1.0, 1.0, 1.0, 1.0};
-  // Seed with several quiet windows.
-  for (int w = 0; w < 3; ++w)
-    assign = lb.assign(make_stats(2, cpu, assign, 10.0, quiet));
-  // One blip window: smoothed O_p is only alpha * 8 = 1.6 s, below the
-  // migration threshold for these loads, so nothing moves.
-  const auto after_blip = lb.assign(make_stats(2, cpu, assign, 10.0, blip));
-  EXPECT_EQ(after_blip, assign);
-  EXPECT_NEAR(lb.smoothed_background()[0], 1.6, 1e-9);
-}
-
-TEST(SmoothedLbTest, AlphaValidated) {
-  SmoothedInterferenceAwareLb::Options options;
-  options.alpha = 0.0;
-  EXPECT_THROW(SmoothedInterferenceAwareLb{options}, CheckFailure);
-  options.alpha = 1.5;
-  EXPECT_THROW(SmoothedInterferenceAwareLb{options}, CheckFailure);
+  const std::vector<PeId> assign{0, 0, 1, 1};
+  const std::vector<double> cpu{3.0, 3.0, 3.0, 3.0};
+  const auto lb = make_balancer("ia-refine-ewma");
+  ProactiveBackgroundEstimator estimator = ewma_estimator();
+  for (int w = 0; w < 3; ++w) {
+    const LbStats stats = make_stats(2, cpu, assign, 20.0, quiet);
+    ASSERT_EQ(lb->assign(stats), assign);
+    static_cast<void>(estimator.estimate(stats));
+  }
+  const LbStats blip_stats = make_stats(2, cpu, assign, 20.0, blip);
+  EXPECT_EQ(lb->assign(blip_stats), assign);
+  EXPECT_NEAR(estimator.estimate(blip_stats)[0], 4.0, 1e-9);
+  InterferenceAwareRefineLb plain;
+  EXPECT_NE(plain.assign(blip_stats), assign);
 }
 
 // ------------------------------------------------------------- replay

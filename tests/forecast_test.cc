@@ -137,14 +137,11 @@ TEST(EstimatorModeTest, PersistModeHasNoForecaster) {
 }
 
 TEST(EstimatorModeTest, BadForecastKnobsAreRejected) {
-  LbRobustnessOptions options = mode_options(EstimatorMode::kEwma);
-  options.forecast_alpha = 0.0;
-  EXPECT_THROW(make_forecasting_estimator(options), CheckFailure);
-  options = mode_options(EstimatorMode::kTrend);
+  LbRobustnessOptions options = mode_options(EstimatorMode::kTrend);
   options.forecast_horizon = -1.0;
   EXPECT_THROW(make_forecasting_estimator(options), CheckFailure);
-  options = mode_options(EstimatorMode::kRegress);
-  options.forecast_window = 1;
+  options = mode_options(EstimatorMode::kEwma);
+  options.forecast_margin = -0.5;
   EXPECT_THROW(make_forecasting_estimator(options), CheckFailure);
 }
 
@@ -192,14 +189,15 @@ TEST(ForecasterTest, RegressIsExactOnALine) {
 }
 
 TEST(ForecasterTest, RegressForgetsASlopeChangeWithinItsWindow) {
-  LbRobustnessOptions options = mode_options(EstimatorMode::kRegress);
-  options.forecast_window = 4;
-  auto regress = make_forecasting_estimator(options);
-  for (int i = 0; i < 6; ++i) regress->step({static_cast<double>(i)}, 1.0);
-  // Four flat windows push every ramp sample out of the fit: the
+  auto regress = make_mode(EstimatorMode::kRegress);
+  for (int i = 0; i < 10; ++i) regress->step({static_cast<double>(i)}, 1.0);
+  // Seven flat windows leave one ramp sample in the 8-sample fit, so the
+  // line still tilts; the eighth pushes the ramp out entirely and the
   // prediction must return to the flat level exactly.
   Forecast f;
-  for (int i = 0; i < 4; ++i) f = regress->step({1.5}, 1.0);
+  for (int i = 0; i < 7; ++i) f = regress->step({1.5}, 1.0);
+  EXPECT_GT(std::abs(f.predicted[0] - 1.5), 1e-3);
+  f = regress->step({1.5}, 1.0);
   EXPECT_NEAR(f.predicted[0], 1.5, 1e-9);
 }
 

@@ -194,9 +194,10 @@ TEST(LbDatabaseTest, AccumulatesAndClears) {
   db.record_task(2, 2.0);
   EXPECT_DOUBLE_EQ(db.chare_cpu(0), 1.5);
   EXPECT_DOUBLE_EQ(db.chare_cpu(1), 0.0);
-  EXPECT_DOUBLE_EQ(db.window_total(), 3.5);
+  EXPECT_DOUBLE_EQ(db.chare_cpu(2), 2.0);
   db.clear_window();
-  EXPECT_DOUBLE_EQ(db.window_total(), 0.0);
+  EXPECT_DOUBLE_EQ(db.chare_cpu(0), 0.0);
+  EXPECT_DOUBLE_EQ(db.chare_cpu(2), 0.0);
   EXPECT_EQ(db.num_chares(), 3u);
   EXPECT_THROW(db.record_task(3, 1.0), CheckFailure);
   EXPECT_THROW(db.record_task(0, -1.0), CheckFailure);

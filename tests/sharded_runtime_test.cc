@@ -19,6 +19,7 @@
 #include "util/check.h"
 #include "util/rng.h"
 #include "util/sim_time.h"
+#include "util/validate.h"
 #include "vm/virtual_machine.h"
 
 // Differential tier for the shard-partitioned runtime: the same scenario
@@ -356,6 +357,9 @@ class TinyWorker final : public Chare {
 TEST(ShardedHostTest, InWindowCascadesRecoverByRewind) {
   // 1 µs tasks against a 60 µs window: every LB wave completes in-window
   // and must be recovered exactly (counted via the host's rewind counter).
+  // Validation arms the engines' monotone-order check: the recovered
+  // barrier's work must carry the last at_sync's rank, as on one engine.
+  const ValidationScope validate{true};
   MachineConfig mc;
   mc.nodes = 4;
   mc.cores_per_node = 2;

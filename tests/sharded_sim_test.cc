@@ -1,5 +1,7 @@
 // Tests for the sharded parallel discrete-event engine
-// (src/sim/sharded_simulator.h).
+// (src/sim/sharded_simulator.h), driven through the calls the runtime host
+// makes: scheduling on shard_engine(s), post(), and a next_event_time /
+// run_one_window loop.
 //
 // The load-bearing claim is determinism: an order-insensitive workload
 // must produce the same canonical execution record on the legacy
@@ -17,6 +19,7 @@
 #include <cstdlib>
 #include <functional>
 #include <map>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -43,6 +46,13 @@ std::uint64_t mix64(std::uint64_t x) {
 std::uint64_t draw(std::uint64_t salt, int entity, int tick) {
   return mix64(salt ^ (static_cast<std::uint64_t>(entity) << 32) ^
                static_cast<std::uint64_t>(tick));
+}
+
+/// Runs windows until every shard and mailbox drains — the host's compute
+/// loop without its global phases — then audits every engine.
+void drain(ShardedSimulator& sim) {
+  while (sim.next_event_time()) sim.run_one_window(std::nullopt);
+  sim.validate_integrity();
 }
 
 // ------------------------------------------------------------------
@@ -155,16 +165,14 @@ std::uint64_t sharded_harness_digest(int shards, bool parallel) {
   Harness h;
   const auto shard_of = [&h, shards](int e) { return e * shards / h.entities; };
   h.schedule = [&](int e, SimTime t, std::function<void()> fn) {
-    sim.schedule_at(shard_of(e), t, std::move(fn));
+    sim.shard_engine(shard_of(e)).schedule_at(t, std::move(fn));
   };
   h.post = [&](int src, int dst, SimTime latency, std::function<void()> fn) {
     sim.post(shard_of(src), shard_of(dst), latency, std::move(fn));
   };
   h.now = [&](int e) { return sim.shard_engine(shard_of(e)).now(); };
   h.start();
-  sim.run();
-  EXPECT_EQ(sim.cross_posts(), sim.cross_delivered());
-  EXPECT_EQ(sim.pending(), 0u);
+  drain(sim);
   return h.digest();
 }
 
@@ -215,14 +223,14 @@ TEST(ShardedSimTest, SingleShardTraceIsBitwiseLegacy) {
         });
     Harness h;
     h.schedule = [&sim](int, SimTime t, std::function<void()> fn) {
-      sim.schedule_at(0, t, std::move(fn));
+      sim.shard_engine(0).schedule_at(t, std::move(fn));
     };
     h.post = [&sim](int, int, SimTime latency, std::function<void()> fn) {
       sim.post(0, 0, latency, std::move(fn));
     };
     h.now = [&sim](int) { return sim.shard_engine(0).now(); };
     h.start();
-    sim.run();
+    drain(sim);
   }
 
   ASSERT_FALSE(legacy_trace.empty());
@@ -238,41 +246,43 @@ TEST(ShardedSimTest, WindowClockAdvancesOnBarriers) {
   cfg.lookahead = SimTime::micros(60);
   ShardedSimulator sim{cfg};
   int fired = 0;
-  sim.schedule_at(0, SimTime::micros(10), [&fired] { ++fired; });
-  sim.schedule_at(1, SimTime::micros(100), [&fired] { ++fired; });
-  sim.run();
+  sim.shard_engine(0).schedule_at(SimTime::micros(10), [&fired] { ++fired; });
+  sim.shard_engine(1).schedule_at(SimTime::micros(100), [&fired] { ++fired; });
+  drain(sim);
   EXPECT_EQ(fired, 2);
   EXPECT_EQ(sim.executed(), 2u);
-  EXPECT_GE(sim.windows_run(), 2u);
-  // run() leaves the clock at the last window barrier it closed.
+  EXPECT_EQ(sim.windows_run(), 2u);
+  // The clock stands at the last window barrier closed.
   EXPECT_EQ(sim.now(), SimTime::micros(120));
 }
 
-TEST(ShardedSimTest, RunUntilStopsInclusivelyAndKeepsMailInFlight) {
+TEST(ShardedSimTest, CappedWindowKeepsMailInFlight) {
   ShardedSimulator::Config cfg;
   cfg.shards = 2;
   cfg.lookahead = kLookahead;
   ShardedSimulator sim{cfg};
   int local = 0;
   int remote = 0;
-  sim.schedule_at(0, SimTime::micros(10), [&] {
+  sim.shard_engine(0).schedule_at(SimTime::micros(10), [&] {
     ++local;
-    // In flight across the cutoff below: posted at 10us, due at 110us.
+    // In flight across the cap below: posted at 10us, due at 110us.
     sim.post(0, 1, SimTime::micros(100), [&remote] { ++remote; });
   });
-  sim.schedule_at(1, SimTime::micros(40), [&local] { ++local; });
+  sim.shard_engine(1).schedule_at(SimTime::micros(40), [&local] { ++local; });
 
-  sim.run_until(SimTime::micros(40));  // inclusive of the 40us event
+  // The host caps a window at its next timed action; the window is
+  // exclusive of the cap.
+  ASSERT_EQ(sim.next_event_time(), SimTime::micros(10));
+  EXPECT_EQ(sim.run_one_window(SimTime::micros(41)), SimTime::micros(41));
   EXPECT_EQ(local, 2);
   EXPECT_EQ(remote, 0);
-  EXPECT_EQ(sim.now(), SimTime::micros(40));
-  EXPECT_EQ(sim.cross_posts(), 1u);
-  EXPECT_EQ(sim.pending(), 1u);  // the buffered envelope
+  EXPECT_EQ(sim.now(), SimTime::micros(41));
+  // The buffered envelope is the only thing left, delivered at its time.
+  EXPECT_EQ(sim.next_event_time(), SimTime::micros(110));
 
-  sim.run();
+  drain(sim);
   EXPECT_EQ(remote, 1);
-  EXPECT_EQ(sim.cross_delivered(), 1u);
-  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_FALSE(sim.next_event_time().has_value());
 }
 
 TEST(ShardedSimTest, CancelOnOwningShardWorks) {
@@ -281,11 +291,11 @@ TEST(ShardedSimTest, CancelOnOwningShardWorks) {
   cfg.lookahead = kLookahead;
   ShardedSimulator sim{cfg};
   bool fired = false;
-  const ShardEventHandle doomed =
-      sim.schedule_at(1, SimTime::micros(30), [&fired] { fired = true; });
-  EXPECT_TRUE(sim.cancel(doomed));   // between windows: always legal
-  EXPECT_FALSE(sim.cancel(doomed));  // spent handle
-  sim.run();
+  EngineCore& engine = sim.shard_engine(1);
+  const EventHandle doomed =
+      engine.schedule_at(SimTime::micros(30), [&fired] { fired = true; });
+  EXPECT_TRUE(engine.cancel(doomed));  // between windows: always legal
+  drain(sim);
   EXPECT_FALSE(fired);
 }
 
@@ -295,13 +305,15 @@ TEST(ShardedSimTest, CrossShardCancelDuringWindowFailsLoudly) {
   cfg.lookahead = SimTime::micros(60);
   ShardedSimulator sim{cfg};
   // Shard 1's event is far away; shard 0's callback (shard 0 executes
-  // first within the window) reaches across the boundary mid-window.
-  const ShardEventHandle foreign =
-      sim.schedule_at(1, SimTime::micros(500), [] {});
-  sim.schedule_at(0, SimTime::micros(10), [&sim, foreign] {
-    static_cast<void>(sim.cancel(foreign));
+  // first within the window) reaches across the boundary mid-window. A
+  // plain EventHandle carries no shard, so the engine accessor itself is
+  // what refuses the foreign shard.
+  const EventHandle foreign =
+      sim.shard_engine(1).schedule_at(SimTime::micros(500), [] {});
+  sim.shard_engine(0).schedule_at(SimTime::micros(10), [&sim, foreign] {
+    static_cast<void>(sim.shard_engine(1).cancel(foreign));
   });
-  EXPECT_THROW(sim.run(), CheckFailure);
+  EXPECT_THROW(drain(sim), CheckFailure);
 }
 
 TEST(ShardedSimTest, CrossShardPostBelowLookaheadIsRejected) {
@@ -313,7 +325,7 @@ TEST(ShardedSimTest, CrossShardPostBelowLookaheadIsRejected) {
   EXPECT_THROW(sim.post(0, 1, SimTime::micros(10), [] {}), CheckFailure);
   // Same latency within a shard is fine — no window to pierce.
   sim.post(0, 0, SimTime::micros(10), [] {});
-  sim.run();
+  drain(sim);
 }
 
 TEST(ShardedSimTest, ReserveForwardsToEveryShard) {
@@ -323,10 +335,9 @@ TEST(ShardedSimTest, ReserveForwardsToEveryShard) {
   ShardedSimulator sim{cfg};
   sim.reserve(64, 64);
   for (int s = 0; s < 3; ++s)
-    sim.schedule_at(s, SimTime::micros(s + 1), [] {});
-  sim.run();
+    sim.shard_engine(s).schedule_at(SimTime::micros(s + 1), [] {});
+  drain(sim);
   EXPECT_EQ(sim.executed(), 3u);
-  sim.validate_integrity();
 }
 
 TEST(ShardedSimTest, WorkerExceptionsSurfaceInParallelMode) {
@@ -335,12 +346,10 @@ TEST(ShardedSimTest, WorkerExceptionsSurfaceInParallelMode) {
   cfg.lookahead = kLookahead;
   cfg.parallel = true;
   ShardedSimulator sim{cfg};
-  EXPECT_TRUE(sim.parallel());
-  EXPECT_GE(sim.workers(), 1);
-  sim.schedule_at(2, SimTime::micros(5), [] {
+  sim.shard_engine(2).schedule_at(SimTime::micros(5), [] {
     CLB_CHECK_MSG(false, "deliberate failure inside a window");
   });
-  EXPECT_THROW(sim.run(), CheckFailure);
+  EXPECT_THROW(drain(sim), CheckFailure);
 }
 
 // ------------------------------------------------------------------
@@ -401,8 +410,7 @@ TrafficWorld run_traffic_world(std::uint64_t seed, bool parallel) {
       });
     }
     if (k + 1 < rounds) {
-      sim.schedule_after(
-          s,
+      sim.shard_engine(s).schedule_after(
           SimTime::nanos(15000 +
                          static_cast<std::int64_t>(draw(0x66, s, k) % 9000)),
           [s, k, &tick] { tick(s, k + 1); });
@@ -410,15 +418,10 @@ TrafficWorld run_traffic_world(std::uint64_t seed, bool parallel) {
   };
   for (int s = 0; s < shards; ++s) {
     const int shard = s;
-    sim.schedule_at(shard, SimTime::nanos(100 + 31 * shard),
-                    [shard, &tick] { tick(shard, 0); });
+    sim.shard_engine(shard).schedule_at(SimTime::nanos(100 + 31 * shard),
+                                        [shard, &tick] { tick(shard, 0); });
   }
-  sim.run();
-  std::uint64_t total_sent = 0;
-  for (const auto& [channel, ids] : world.sent) total_sent += ids.size();
-  EXPECT_EQ(sim.cross_posts(), total_sent);
-  EXPECT_EQ(sim.cross_delivered(), total_sent);
-  EXPECT_EQ(sim.pending(), 0u);
+  drain(sim);
   return world;
 }
 

@@ -4,9 +4,8 @@
 // is not associative, so a `double += ...` folded per shard (or per
 // element of shard-confined state) in an arbitrary loop reproduces the
 // legacy engine's sums only if the iteration order is pinned; the
-// canonical combiners (ShardPartition::reduction_sum, chare_cpu,
-// shard_summaries_from_stats, ...) are written and audited for exactly
-// that, ad-hoc folds are not.
+// canonical combiners (ShardPartition::reduction_sum, chare_cpu, ...)
+// are written and audited for exactly that, ad-hoc folds are not.
 //
 // Scope: loops (for / range-for / while / do) inside functions NOT
 // annotated CLB_CANONICAL_COMBINE whose body touches per-shard data —

@@ -5,9 +5,8 @@
 // been recycled for an unrelated event — the classic source of
 // "cancelled the wrong timer" heisenbugs.
 //
-// The engine family has three cancelling classes (Simulator is the
-// EngineCore legacy facade; ShardedSimulator retires its shard-stamped
-// ShardEventHandle the same way), all tracked identically.
+// The engine family has two cancelling classes (Simulator is the
+// EngineCore legacy facade), tracked identically.
 //
 // The check walks each function body in source order, per handle
 // variable (locals and members): after a cancel(h), any use of h before
@@ -48,7 +47,7 @@ bool is_event_handle(clang::QualType type) {
   const auto* record = type->getAsCXXRecordDecl();
   if (record == nullptr) return false;
   const llvm::StringRef name = record->getName();
-  return name == "EventHandle" || name == "ShardEventHandle";
+  return name == "EventHandle";
 }
 
 // The variable or field an lvalue expression names, when it is a plain
@@ -166,9 +165,7 @@ class HandleEventCollector
     // Simulator inherits cancel() from EngineCore, so getParent() names
     // the declaring class, not the callee's static type.
     const llvm::StringRef owner = cls->getName();
-    if (owner != "Simulator" && owner != "EngineCore" &&
-        owner != "ShardedSimulator")
-      return true;
+    if (owner != "Simulator" && owner != "EngineCore") return true;
     const clang::Decl* handle = handle_target(call->getArg(0));
     if (handle == nullptr) return true;
     add(Event::kCancel, call->getBeginLoc(), handle,
