@@ -13,6 +13,7 @@
 #include "lb/refinement.h"
 #include "machine/core.h"
 #include "sim/simulator.h"
+#include "support/refinement_naive.h"
 #include "util/rng.h"
 
 namespace cloudlb {

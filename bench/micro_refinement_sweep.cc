@@ -17,6 +17,7 @@
 
 #include "core/background_estimator.h"
 #include "lb/refinement.h"
+#include "support/refinement_naive.h"
 #include "util/rng.h"
 #include "util/table.h"
 

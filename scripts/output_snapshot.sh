@@ -8,10 +8,17 @@
 #
 # BUILD_DIR is a configured and built tree (bench/ and tools/cloudlb).
 # Covered: every bench/fig* and bench/ablation_* binary with --jobs 4, and
-# `cloudlb penalty` for jacobi2d with ia-refine and greedy at 16 and 32
-# cores across --shards 1, 2, 4 and 8, a failmig-with-retries run, and
-# estimator runs with 16 tenants on 32 cores (the ia-refine-ewma preset
-# and its spelled-out form, gain-gated and refine with --estimator).
+# every cloudlb command:
+#  - `penalty` for jacobi2d with ia-refine and greedy at 16 and 32 cores
+#    across --shards 1, 2, 4 and 8, a failmig-with-retries run, estimator
+#    runs with 16 tenants on 32 cores (the ia-refine-ewma preset and its
+#    spelled-out form, gain-gated and refine with --estimator), and
+#    --jobs without --shards (rejected);
+#  - `timeline` with the 2-core background job and with a tenant field;
+#  - `record`, then `replay` of the trace it wrote (record.lbstats, kept
+#    in OUT_DIR; both run from OUT_DIR so no output names its path);
+#  - a small `sweep` at --jobs 1 and --jobs 4;
+#  - `apps` and `balancers`.
 # A run that exits nonzero records its stderr (minus the failing check's
 # source location) and exit status in its file instead of failing the
 # script, so a rejection shows up as a diff.
@@ -22,8 +29,8 @@ if [[ $# -ne 2 ]]; then
   exit 2
 fi
 build="$(cd "$1" && pwd)"
-out="$2"
-mkdir -p "${out}"
+mkdir -p "$2"
+out="$(cd "$2" && pwd)"
 
 # run NAME CMD...: stdout to OUT_DIR/NAME.txt; on failure append stderr
 # and the exit status.
@@ -75,3 +82,26 @@ for balancer in gain-gated refine; do
     "${common[@]}" "${tenants[@]}" --balancer="${balancer}" \
     --estimator=regress
 done
+run penalty_jobs_without_shards "${cloudlb}" penalty "${common[@]}" \
+  --cores=16 --jobs=2
+
+timeline=(--app=jacobi2d --cores=4 --iterations=20 --bg-iterations=40
+  --width=60)
+run timeline_bg "${cloudlb}" timeline "${timeline[@]}"
+run timeline_tenants "${cloudlb}" timeline "${timeline[@]}" --tenants=4
+
+(
+  cd "${out}"
+  run record "${cloudlb}" record --out=record.lbstats "${common[@]}" \
+    --cores=8
+  run replay "${cloudlb}" replay --trace=record.lbstats
+)
+
+sweep=(--app=jacobi2d --cores=4,8 --balancers=null,ia-refine
+  --iterations=20 --bg-iterations=40)
+for jobs in 1 4; do
+  run "sweep_jobs${jobs}" "${cloudlb}" sweep "${sweep[@]}" --jobs "${jobs}"
+done
+
+run apps "${cloudlb}" apps
+run balancers "${cloudlb}" balancers

@@ -56,10 +56,11 @@ commands:
                                             windows, collective phases in
                                             canonical global order;
                                             output is identical for
-                                            every N; not with --tenants;
+                                            every N; default 1; N > 1
+                                            not with --tenants;
                                             see docs/sharded-engine.md)
              --jobs=N                      (run shard windows on N worker
-                                            threads when --shards > 1;
+                                            threads; needs --shards > 1;
                                             0 = all hardware threads;
                                             default 1 = serial windows;
                                             output identical for every N)
@@ -214,6 +215,10 @@ int cmd_penalty(Options& options, std::ostream& out) {
   ScenarioConfig config = config_from(options);
   // --jobs here sizes the shard worker team (sweep reuses the flag for
   // grid cells); windows merge canonically, so output is N-independent.
+  // One shard has no team to size.
+  CLB_CHECK_MSG(config.shards > 1 || !options.has("jobs"),
+                "--jobs has no effect without --shards > 1; got --shards="
+                    << config.shards);
   int jobs = static_cast<int>(options.get_int("jobs", 1));
   if (jobs <= 0) jobs = hardware_jobs();
   config.shard_workers = jobs;
@@ -293,9 +298,22 @@ int cmd_sweep(Options& options, std::ostream& out) {
   return 0;
 }
 
+/// The run's interference sources, as the timeline header names them.
+std::string interference_label(const ScenarioConfig& config) {
+  std::string label;
+  if (config.with_background)
+    label = std::to_string(config.bg_cores) + "-core background job";
+  if (config.tenants > 0) {
+    if (!label.empty()) label += " and ";
+    label += std::to_string(config.tenants) +
+             (config.tenants == 1 ? " tenant VM" : " tenant VMs");
+  }
+  return label.empty() ? "no interference" : label;
+}
+
 int cmd_timeline(Options& options, std::ostream& out) {
   ScenarioConfig config = config_from(options);
-  // The tracer is an execution observer, which needs a single engine.
+  // The tracer is an execution observer, which needs a one-shard host.
   CLB_CHECK_MSG(config.shards == 1,
                 "timeline does not support --shards > 1; got --shards="
                     << config.shards);
@@ -307,7 +325,7 @@ int cmd_timeline(Options& options, std::ostream& out) {
   const SimTime end = r.app_elapsed;
 
   out << config.app.name << " on " << config.app_cores << " cores, '"
-      << config.balancer << "', 2-core background job\n"
+      << config.balancer << "', " << interference_label(config) << "\n"
       << "finished in " << end.to_string() << " with " << r.lb_migrations
       << " migrations\n\n";
   tracer.render_ascii(out, config.app_cores, SimTime::zero(), end, width);

@@ -9,7 +9,6 @@
 #include "lb/null_lb.h"
 #include "runtime/network.h"
 #include "runtime/sharded_runtime.h"
-#include "sim/simulator.h"
 #include "util/check.h"
 #include "util/validate.h"
 #include "vm/virtual_machine.h"
@@ -61,118 +60,13 @@ class BorrowedBalancer final : public LoadBalancer {
   LoadBalancer& inner_;
 };
 
-void drive(Simulator& sim, RuntimeJob& primary, RuntimeJob* secondary,
-           PowerMeter* meter) {
-  while (!primary.finished() ||
-         (secondary != nullptr && !secondary->finished())) {
-    CLB_CHECK_MSG(sim.step(), "simulation stalled before jobs finished");
-    CLB_CHECK_MSG(sim.executed() < kMaxEvents, "event-count ceiling hit");
-    if (meter != nullptr && meter->running() && primary.finished())
-      meter->stop();
-  }
-  if (meter != nullptr && meter->running()) meter->stop();
-}
-
-/// The shard-partitioned runtime path (config.shards > 1 on a multi-node
-/// machine): same experiment, driven by a ShardedRuntimeHost instead of a
-/// single Simulator. Construction order mirrors the single-engine path
-/// step for step so the two produce bit-identical metrics (the differential tier
-/// in tests/sharded_runtime_test.cc pins this).
-RunResult run_scenario_sharded(const ScenarioConfig& config,
-                               std::unique_ptr<LoadBalancer> balancer,
-                               TimelineTracer* tracer) {
-  // Observers would need a merged in-order event stream, which windows do
-  // not provide; the tenant field hangs its burst chains on the single
-  // engine. Both stay single-engine until they learn shard discipline;
-  // the CLI rejects them with --shards > 1 at parse time.
-  CLB_CHECK_MSG(tracer == nullptr,
-                "timeline tracing is not supported with --shards > 1");
-  CLB_CHECK_MSG(config.tenants == 0,
-                "tenant fields are not supported with --shards > 1");
-
-  ValidationScope validation{config.validate || validation_enabled()};
-
+ShardedRuntimeHost::Config host_config_for(const ScenarioConfig& config) {
   ShardedRuntimeHost::Config host_config;
   host_config.shards = config.shards;
   host_config.window = shard_window_width(config.job.network);
   host_config.parallel = config.shard_workers > 1;
   host_config.workers = config.shard_workers;
-  ShardedRuntimeHost host{machine_for(config, config.app_cores), host_config};
-  Machine& machine = host.machine();
-
-  const std::size_t presize =
-      1024 + 256 * static_cast<std::size_t>(config.app_cores);
-  host.sharded().reserve(presize, presize);
-
-  std::unique_ptr<FaultInjector> faults;
-  if (!config.faults.empty()) {
-    faults = std::make_unique<FaultInjector>(FaultPlan::parse(config.faults));
-    if (!faults->inert())
-      host.set_clock_fault_policy(EngineCore::ClockFaultPolicy::kRecover);
-  }
-
-  std::vector<CoreId> app_cores(static_cast<std::size_t>(config.app_cores));
-  std::iota(app_cores.begin(), app_cores.end(), 0);
-  VirtualMachine app_vm{machine, "app", app_cores};
-
-  JobConfig app_job_config = config.job;
-  app_job_config.name = config.app.name;
-  app_job_config.lb_period = config.lb_period;
-  if (faults != nullptr) app_job_config.faults = faults.get();
-  RuntimeJob app_job{host, app_vm, app_job_config, std::move(balancer)};
-  populate_app(app_job, config.app);
-
-  std::unique_ptr<VirtualMachine> bg_vm;
-  std::unique_ptr<RuntimeJob> bg_job;
-  if (config.with_background) {
-    std::vector<CoreId> bg_cores(static_cast<std::size_t>(config.bg_cores));
-    std::iota(bg_cores.begin(), bg_cores.end(), 0);
-    bg_vm = std::make_unique<VirtualMachine>(machine, "bg", bg_cores,
-                                             config.bg_weight);
-    bg_job = std::make_unique<RuntimeJob>(host, *bg_vm,
-                                          background_job_config(config),
-                                          std::make_unique<NullLb>());
-    populate_wave2d(*bg_job, background_app_config(config));
-  }
-
-  if (faults != nullptr) {
-    faults->install_interference(
-        machine, [&host](CoreId core) -> EngineCore& {
-          return host.engine_of_core(core);
-        });
-  }
-
-  // Tickless meter: energy integrates between explicit global instants.
-  // The stop instant is the app job's exact finish time, delivered from
-  // the finishing global phase — the same instant the legacy drive loop
-  // stops its meter at.
-  PowerMeter meter{machine, config.power};
-  host.set_on_job_finished([&meter, &app_job](RuntimeJob& job) {
-    if (&job == &app_job && meter.running()) meter.stop_at(job.finish_time());
-  });
-  meter.start_at(SimTime::zero());
-
-  app_job.start();
-  if (bg_job != nullptr) {
-    if (config.bg_start.is_zero()) {
-      bg_job->start();
-    } else {
-      RuntimeJob* bg = bg_job.get();
-      host.schedule_action(config.bg_start, [bg] { bg->start(); });
-    }
-  }
-
-  host.drive(kMaxEvents);
-  CLB_CHECK(!meter.running());  // the finish callback must have stopped it
-
-  RunResult result;
-  result.app_elapsed = app_job.elapsed();
-  if (bg_job != nullptr) result.bg_elapsed = bg_job->elapsed();
-  result.energy_joules = meter.energy_joules();
-  result.avg_power_watts = meter.average_power_watts();
-  result.app_counters = app_job.counters();
-  result.lb_migrations = app_job.counters().migrations;
-  return result;
+  return host_config;
 }
 
 }  // namespace
@@ -193,33 +87,24 @@ RunResult run_scenario_with(const ScenarioConfig& config,
                             TimelineTracer* tracer) {
   CLB_CHECK(config.app_cores >= 1);
   CLB_CHECK(!config.with_background || config.bg_cores <= config.app_cores);
+  CLB_CHECK_MSG(config.shards >= 1,
+                "a scenario needs at least one shard, got " << config.shards);
   CLB_CHECK(balancer != nullptr);
-
-  // --shards N on a multi-node machine takes the partitioned-runtime
-  // path; everything else (including --shards=1, and shard counts that
-  // clamp to one on a single-node machine) runs on a single Simulator.
-  if (config.shards > 1 &&
-      machine_for(config, config.app_cores).nodes > 1) {
-    return run_scenario_sharded(config, std::move(balancer), tracer);
-  }
 
   // config.validate widens the process setting for this run only; it
   // never narrows it, so a CLOUDLB_VALIDATE build stays validated.
   ValidationScope validation{config.validate || validation_enabled()};
 
-  Simulator sim;
-  // Presize the arena and heap before the first event: steady state holds
-  // only a few pending events per core (in-flight messages plus timers),
-  // so a generous per-core multiplier removes every mid-run regrow at
-  // negligible memory cost (tests/sim_alloc_test.cc pins this).
+  ShardedRuntimeHost host{machine_for(config, config.app_cores),
+                          host_config_for(config)};
+  Machine& machine = host.machine();
+  // Presize the arenas and heaps before the first event: steady state
+  // holds only a few pending events per core (in-flight messages plus
+  // timers), so a generous per-core multiplier removes every mid-run
+  // regrow at negligible memory cost (tests/sim_alloc_test.cc pins this).
   const std::size_t presize =
       1024 + 256 * static_cast<std::size_t>(config.app_cores);
-  sim.reserve(presize, presize);
-  Machine machine{sim, machine_for(config, config.app_cores)};
-
-  std::vector<CoreId> app_cores(static_cast<std::size_t>(config.app_cores));
-  std::iota(app_cores.begin(), app_cores.end(), 0);
-  VirtualMachine app_vm{machine, "app", app_cores};
+  host.sharded().reserve(presize, presize);
 
   // The fault injector (if any) outlives the jobs that hold a pointer to
   // it. An empty spec never constructs one, so faultless runs take no
@@ -231,14 +116,18 @@ RunResult run_scenario_with(const ScenarioConfig& config,
     // violations to counted recoveries instead of aborting the run. An
     // inert plan keeps the strict policy (and the bit-identical run).
     if (!faults->inert())
-      sim.set_clock_fault_policy(Simulator::ClockFaultPolicy::kRecover);
+      host.set_clock_fault_policy(EngineCore::ClockFaultPolicy::kRecover);
   }
+
+  std::vector<CoreId> app_cores(static_cast<std::size_t>(config.app_cores));
+  std::iota(app_cores.begin(), app_cores.end(), 0);
+  VirtualMachine app_vm{machine, "app", app_cores};
 
   JobConfig app_job_config = config.job;
   app_job_config.name = config.app.name;
   app_job_config.lb_period = config.lb_period;
   if (faults != nullptr) app_job_config.faults = faults.get();
-  RuntimeJob app_job{sim, app_vm, app_job_config, std::move(balancer)};
+  RuntimeJob app_job{host, app_vm, app_job_config, std::move(balancer)};
   populate_app(app_job, config.app);
   if (tracer != nullptr) app_job.set_observer(tracer);
 
@@ -249,35 +138,55 @@ RunResult run_scenario_with(const ScenarioConfig& config,
     std::iota(bg_cores.begin(), bg_cores.end(), 0);
     bg_vm = std::make_unique<VirtualMachine>(machine, "bg", bg_cores,
                                              config.bg_weight);
-    bg_job = std::make_unique<RuntimeJob>(sim, *bg_vm,
+    bg_job = std::make_unique<RuntimeJob>(host, *bg_vm,
                                           background_job_config(config),
                                           std::make_unique<NullLb>());
     populate_wave2d(*bg_job, background_app_config(config));
     if (tracer != nullptr) bg_job->set_observer(tracer);
   }
 
+  // Tenants land on random cores, so their burst chains need the one
+  // engine that runs every core.
   std::unique_ptr<TenantField> tenants;
   if (config.tenants > 0) {
+    CLB_CHECK_MSG(host.shards() == 1,
+                  "tenant fields need a one-shard host; got "
+                      << host.shards() << " shards");
     TenantFieldConfig tc = config.tenant_config;
     tc.num_tenants = config.tenants;
-    tenants = std::make_unique<TenantField>(sim, machine, tc);
+    tenants = std::make_unique<TenantField>(host.engine_of_shard(0), machine,
+                                            tc);
     tenants->start();
   }
 
-  if (faults != nullptr) faults->install_interference(sim, machine);
+  if (faults != nullptr) {
+    faults->install_interference(
+        machine, [&host](CoreId core) -> EngineCore& {
+          return host.engine_of_core(core);
+        });
+  }
 
-  PowerMeter meter{sim, machine, config.power};
-  meter.start();
+  // Energy integrates between explicit global instants. The stop instant
+  // is the app job's exact finish time, delivered from the finishing
+  // global phase.
+  PowerMeter meter{machine, config.power};
+  host.set_on_job_finished([&meter, &app_job](RuntimeJob& job) {
+    if (&job == &app_job && meter.running()) meter.stop_at(job.finish_time());
+  });
+  meter.start_at(SimTime::zero());
+
   app_job.start();
   if (bg_job != nullptr) {
     if (config.bg_start.is_zero()) {
       bg_job->start();
     } else {
-      sim.schedule_at(config.bg_start, [&bg_job] { bg_job->start(); });
+      RuntimeJob* bg = bg_job.get();
+      host.schedule_action(config.bg_start, [bg] { bg->start(); });
     }
   }
 
-  drive(sim, app_job, bg_job.get(), &meter);
+  host.drive(kMaxEvents);
+  CLB_CHECK(!meter.running());  // the finish callback must have stopped it
   if (tenants != nullptr) tenants->stop();
 
   RunResult result;
@@ -298,17 +207,17 @@ RunResult run_scenario_with(const ScenarioConfig& config,
 }
 
 SimTime run_background_solo(const ScenarioConfig& config) {
-  Simulator sim;
   // Same cluster shape as the combined run, so BG network locality matches.
-  Machine machine{sim, machine_for(config, config.app_cores)};
+  ShardedRuntimeHost host{machine_for(config, config.app_cores),
+                          host_config_for(config)};
   std::vector<CoreId> bg_cores(static_cast<std::size_t>(config.bg_cores));
   std::iota(bg_cores.begin(), bg_cores.end(), 0);
-  VirtualMachine bg_vm{machine, "bg", bg_cores, config.bg_weight};
-  RuntimeJob bg_job{sim, bg_vm, background_job_config(config),
+  VirtualMachine bg_vm{host.machine(), "bg", bg_cores, config.bg_weight};
+  RuntimeJob bg_job{host, bg_vm, background_job_config(config),
                     std::make_unique<NullLb>()};
   populate_wave2d(bg_job, background_app_config(config));
   bg_job.start();
-  drive(sim, bg_job, nullptr, nullptr);
+  host.drive(kMaxEvents);
   return bg_job.elapsed();
 }
 

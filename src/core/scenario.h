@@ -27,20 +27,20 @@ struct ScenarioConfig {
   /// cores per node by default, like the testbed).
   MachineConfig machine;
 
-  /// Shard count for the partitioned runtime (docs/sharded-engine.md).
-  /// <= 1 — the default — runs on a single Simulator. With N > 1 on a
-  /// multi-node machine the cluster's nodes are block-
-  /// partitioned into min(N, nodes) shards, each with its own event engine
-  /// and per-shard LB-database segment; compute phases run as conservative
-  /// windows (width = the network's min_internode_delay) and collective
-  /// phases (AtSync barriers, reductions, broadcasts) run serialized in
-  /// canonical global order. Results are bit-identical to the single
-  /// engine for every shard count (pinned by tests/sharded_runtime_test.cc).
+  /// Shard count for the runtime host (docs/sharded-engine.md); must be
+  /// >= 1. The cluster's nodes are block-partitioned into min(N, nodes)
+  /// shards, each with its own event engine and per-shard LB-database
+  /// segment; compute phases run as conservative windows (width = the
+  /// network's min_internode_delay) and collective phases (AtSync
+  /// barriers, reductions, broadcasts) run serialized in canonical global
+  /// order. Results are bit-identical for every shard count (pinned by
+  /// tests/sharded_runtime_test.cc against a single-Simulator reference).
+  /// Tenant fields and tracers need the host to end up with one shard.
   int shards = 1;
 
   /// Worker-team size for parallel shard windows. <= 1 runs windows
   /// serially on the driving thread (same trace either way — the merge
-  /// order is canonical); only meaningful when shards > 1.
+  /// order is canonical); inert unless the host has more than one shard.
   int shard_workers = 0;
 
   /// Strategy name accepted by make_balancer ("null" = the paper's noLB).
@@ -89,8 +89,9 @@ struct RunResult {
   int lb_migrations = 0;  ///< convenience copy of app_counters.migrations
 };
 
-/// Runs one experiment to completion (both jobs). If `tracer` is given it
-/// observes both jobs, enabling Figure-1/3-style timelines.
+/// Runs one experiment to completion (both jobs) on a ShardedRuntimeHost
+/// with config.shards shards. If `tracer` is given it observes both jobs,
+/// enabling Figure-1/3-style timelines.
 RunResult run_scenario(const ScenarioConfig& config,
                        TimelineTracer* tracer = nullptr);
 

@@ -83,14 +83,4 @@ RefinementResult refine_assignment(const LbStats& stats,
                                    const std::vector<double>& external_load,
                                    double epsilon_fraction);
 
-/// Retained naive reference implementation of Algorithm 1 — the original
-/// O(donors × tasks × |underset|) nested-scan kernel. Semantically (and,
-/// by construction, bit-for-bit) identical to the indexed engine; kept for
-/// the differential-testing harness (tests/refinement_diff_test.cc) and
-/// the speedup micro-benchmark (bench/micro_refinement_sweep.cc). Do not
-/// call it from production paths.
-RefinementResult refine_assignment_naive(const LbStats& stats,
-                                         const std::vector<double>& external_load,
-                                         const RefinementOptions& options);
-
 }  // namespace cloudlb

@@ -1,10 +1,10 @@
 #pragma once
 
 // Setup shared by the indexed production engine (refinement.cc) and the
-// retained naive reference (refinement_naive.cc). Both must compute loads,
-// T_avg, ε and the Eq. 3 feasibility bound with the exact same
-// floating-point expressions — otherwise the differential harness would be
-// chasing rounding ghosts instead of logic bugs.
+// retained naive reference (tests/support/refinement_naive.cc). Both must
+// compute loads, T_avg, ε and the Eq. 3 feasibility bound with the exact
+// same floating-point expressions — otherwise the differential harness
+// would be chasing rounding ghosts instead of logic bugs.
 
 #include <vector>
 

@@ -4,26 +4,18 @@
 
 namespace cloudlb {
 
-PowerMeter::PowerMeter(Simulator& sim, Machine& machine,
-                       PowerModelConfig config, SimTime sample_interval)
-    : sim_{&sim},
-      machine_{machine},
-      config_{config},
-      interval_{sample_interval} {
-  CLB_CHECK(sample_interval > SimTime::zero());
-}
+PowerMeter::PowerMeter(EngineCore& clock, Machine& machine,
+                       PowerModelConfig config)
+    : clock_{&clock}, machine_{machine}, config_{config} {}
 
 PowerMeter::PowerMeter(Machine& machine, PowerModelConfig config)
-    : sim_{nullptr},
-      machine_{machine},
-      config_{config},
-      interval_{SimTime::seconds(1)} {}
+    : clock_{nullptr}, machine_{machine}, config_{config} {}
 
-double PowerMeter::total_busy_seconds() const {
-  double busy = 0.0;
-  for (CoreId c = 0; c < machine_.num_cores(); ++c)
-    busy += machine_.core(c).proc_stat().busy.to_seconds();
-  return busy;
+SimTime PowerMeter::now() const {
+  CLB_CHECK_MSG(clock_ != nullptr,
+                "a power meter without a clock needs explicit instants "
+                "(start_at/stop_at), and its energy is defined once stopped");
+  return clock_->now();
 }
 
 double PowerMeter::total_busy_seconds_at(SimTime t) const {
@@ -33,33 +25,20 @@ double PowerMeter::total_busy_seconds_at(SimTime t) const {
   return busy;
 }
 
-void PowerMeter::start() {
-  CLB_CHECK_MSG(sim_ != nullptr, "tickless power meter needs start_at()");
-  CLB_CHECK_MSG(!running_, "power meter already running");
-  running_ = true;
-  start_time_ = sim_->now();
-  busy_at_start_ = total_busy_seconds();
-  busy_at_last_sample_ = busy_at_start_;
-  samples_.clear();
-  tick_event_ = sim_->schedule_after(interval_, [this] { on_sample_tick(); });
+void PowerMeter::start() { start_at(now()); }
+
+void PowerMeter::stop() {
+  if (running_) stop_at(now());
 }
 
 void PowerMeter::start_at(SimTime t) {
-  CLB_CHECK_MSG(sim_ == nullptr,
-                "start_at is the tickless-mode entry point; engine-backed "
-                "meters use start()");
   CLB_CHECK_MSG(!running_, "power meter already running");
   running_ = true;
   start_time_ = t;
   busy_at_start_ = total_busy_seconds_at(t);
-  busy_at_last_sample_ = busy_at_start_;
-  samples_.clear();
 }
 
 void PowerMeter::stop_at(SimTime t) {
-  CLB_CHECK_MSG(sim_ == nullptr,
-                "stop_at is the tickless-mode entry point; engine-backed "
-                "meters use stop()");
   if (!running_) return;
   CLB_CHECK_MSG(t >= start_time_, "power meter stopped before it started");
   running_ = false;
@@ -67,47 +46,13 @@ void PowerMeter::stop_at(SimTime t) {
   busy_at_stop_ = total_busy_seconds_at(t);
 }
 
-void PowerMeter::on_sample_tick() {
-  const double busy = total_busy_seconds();
-  const double util_core_seconds = busy - busy_at_last_sample_;
-  busy_at_last_sample_ = busy;
-  const double watts =
-      config_.base_watts_per_node * machine_.num_nodes() +
-      config_.dynamic_watts_per_core * util_core_seconds /
-          interval_.to_seconds();
-  samples_.push_back(Sample{sim_->now(), watts});
-  tick_event_ = sim_->schedule_after(interval_, [this] { on_sample_tick(); });
-}
-
-void PowerMeter::stop() {
-  CLB_CHECK_MSG(sim_ != nullptr, "tickless power meter needs stop_at()");
-  if (!running_) return;
-  running_ = false;
-  stop_time_ = sim_->now();
-  busy_at_stop_ = total_busy_seconds();
-  if (tick_event_.valid()) {
-    // While running, the tick chain keeps exactly one pending event; a
-    // valid handle that fails to cancel means the chain double-armed or
-    // fired without re-arming — both accounting bugs worth failing on.
-    CLB_CHECK_MSG(sim_->cancel(tick_event_),
-                  "power-meter tick handle went stale while running");
-    tick_event_ = EventHandle{};
-  }
-}
-
 SimTime PowerMeter::window() const {
-  if (running_) {
-    CLB_CHECK_MSG(sim_ != nullptr,
-                  "tickless power meter has no live window; stop_at first");
-    return sim_->now() - start_time_;
-  }
-  return stop_time_ - start_time_;
+  return (running_ ? now() : stop_time_) - start_time_;
 }
 
 double PowerMeter::energy_joules() const {
-  CLB_CHECK_MSG(sim_ != nullptr || !running_,
-                "tickless power meter energy is defined after stop_at");
-  const double busy_end = running_ ? total_busy_seconds() : busy_at_stop_;
+  const double busy_end =
+      running_ ? total_busy_seconds_at(now()) : busy_at_stop_;
   const double busy = busy_end - busy_at_start_;
   const double wall = window().to_seconds();
   return config_.base_watts_per_node * machine_.num_nodes() * wall +

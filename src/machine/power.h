@@ -1,9 +1,7 @@
 #pragma once
 
-#include <vector>
-
 #include "machine/machine.h"
-#include "sim/simulator.h"
+#include "sim/engine_core.h"
 #include "util/sim_time.h"
 
 namespace cloudlb {
@@ -20,40 +18,30 @@ struct PowerModelConfig {
   double dynamic_watts_per_core = 32.5;
 };
 
-/// Per-node power meter, mirroring the testbed's 1 Hz node meters.
-///
-/// Provides both a sampled power series (what the paper's meters report)
-/// and an exact energy integral computed from the cores' cumulative busy
-/// time (used for headline numbers; the sampled series converges to it).
+/// Per-node power meter: the exact energy integral over a metered window,
+/// computed from the cores' cumulative busy time (the paper's 1 Hz node
+/// meters sample the same quantity).
 class PowerMeter {
  public:
-  struct Sample {
-    SimTime time;
-    double total_watts = 0.0;
-  };
+  /// Meter on `clock`: start() and stop() read the window's ends from it,
+  /// and energy_joules()/window() stay live while it runs.
+  PowerMeter(EngineCore& clock, Machine& machine,
+             PowerModelConfig config = {});
 
-  PowerMeter(Simulator& sim, Machine& machine, PowerModelConfig config = {},
-             SimTime sample_interval = SimTime::seconds(1));
-
-  /// Tickless meter for the sharded runtime: no engine to hang the 1 Hz
-  /// sample chain on (there are N of them), so there is no sampled series
-  /// — only the exact energy integral between start_at and stop_at, read
-  /// through Core::proc_stat_at at explicit global instants. The sampled
-  /// series was always a convergent approximation of that integral; the
-  /// headline numbers never depended on it.
+  /// Meter with no clock of its own (a sharded host has one per shard):
+  /// the window's ends are explicit global instants (start_at/stop_at),
+  /// and energy is defined once it stops.
   PowerMeter(Machine& machine, PowerModelConfig config = {});
 
-  /// Begins metering at the current simulation time.
+  /// start_at / stop_at the clock's current time.
   void start();
-
-  /// Ends metering; freezes energy and the sample series. Idempotent.
   void stop();
 
-  /// Tickless begin/end at an explicit global instant (sharded runtime
-  /// only; requires the tickless constructor). `t` must satisfy the
-  /// proc_stat_at contract on every core's engine — the sharded host's
-  /// global phases guarantee it.
+  /// Begins metering at `t`; `t` must satisfy the proc_stat_at contract
+  /// on every core's engine (the sharded host's global phases guarantee
+  /// it).
   void start_at(SimTime t);
+  /// Ends metering at `t` and freezes energy and window. Idempotent.
   void stop_at(SimTime t);
 
   bool running() const { return running_; }
@@ -68,28 +56,21 @@ class PowerMeter {
   /// Metered wall time so far.
   SimTime window() const;
 
-  /// Instantaneous-window samples captured every `sample_interval`.
-  const std::vector<Sample>& samples() const { return samples_; }
-
   const PowerModelConfig& config() const { return config_; }
 
  private:
-  double total_busy_seconds() const;
   double total_busy_seconds_at(SimTime t) const;
-  void on_sample_tick();
+  /// The clock's time; only a clocked meter has a "now".
+  SimTime now() const;
 
-  EngineCore* sim_;  ///< null in tickless (sharded) mode
+  EngineCore* clock_;  ///< null for a meter built without a clock
   Machine& machine_;
   PowerModelConfig config_;
-  SimTime interval_;
   bool running_ = false;
   SimTime start_time_;
   SimTime stop_time_;
   double busy_at_start_ = 0.0;
   double busy_at_stop_ = 0.0;
-  double busy_at_last_sample_ = 0.0;
-  std::vector<Sample> samples_;
-  EventHandle tick_event_;
 };
 
 }  // namespace cloudlb

@@ -47,11 +47,6 @@ RuntimeJob::RuntimeJob(ShardedRuntimeHost& host, VirtualMachine& vm,
 
 RuntimeJob::~RuntimeJob() = default;
 
-Simulator& RuntimeJob::sim() {
-  CLB_CHECK_MSG(sim_ != nullptr, "sim() needs a job built on a Simulator");
-  return *sim_;
-}
-
 EngineCore& RuntimeJob::engine_of_shard(int shard) const {
   if (host_ == nullptr) return *sim_;
   return host_->engine_of_shard(shard);
@@ -105,10 +100,11 @@ void RuntimeJob::start() {
   int shards = 1;
   shard_of_pe_.assign(num_pes, 0);
   if (host_ != nullptr) {
-    CLB_CHECK_MSG(observer_ == nullptr,
-                  "execution observers need a job built on a Simulator; the "
-                  "sharded runtime would invoke them from worker threads");
     shards = host_->shards();
+    CLB_CHECK_MSG(observer_ == nullptr || shards == 1,
+                  "execution observers need a one-shard job; with "
+                      << shards << " shards windows would invoke them out "
+                      "of global order, from worker threads");
     for (std::size_t p = 0; p < num_pes; ++p)
       shard_of_pe_[p] = host_->shard_of_core(vm_.core_of(static_cast<int>(p)));
   }
@@ -708,11 +704,10 @@ void RuntimeJob::report_iteration(ChareId chare, int iteration) {
   // Outside a window the merged tally is exact, so the iteration
   // completes at this very report; in-window reports are merged by
   // finalize_shard_state.
-  if (!in_window() && merge_iteration(it) && observer_ != nullptr)
-    observer_->on_iteration_complete(*this, iteration, global_now());
+  if (!in_window()) merge_iteration(it);
 }
 
-bool RuntimeJob::merge_iteration(std::size_t it) {
+void RuntimeJob::merge_iteration(std::size_t it) {
   int reports = 0;
   SimTime last = SimTime::zero();
   for (int s = 0; s < part_->shards(); ++s) {
@@ -723,9 +718,7 @@ bool RuntimeJob::merge_iteration(std::size_t it) {
   }
   if (iteration_times_.size() <= it) iteration_times_.resize(it + 1);
   // Only fully-reported iterations get a time.
-  if (reports != static_cast<int>(chares_.size())) return false;
-  iteration_times_[it] = last;
-  return true;
+  if (reports == static_cast<int>(chares_.size())) iteration_times_[it] = last;
 }
 
 void RuntimeJob::chare_finished(ChareId chare) {

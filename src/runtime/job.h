@@ -104,8 +104,8 @@ class RuntimeJob {
              std::unique_ptr<LoadBalancer> balancer);
 
   /// Partitioned job: registers with `host` and is advanced by
-  /// host.drive(). Observers are refused: they would be invoked from
-  /// window worker threads.
+  /// host.drive(). Observers need a one-shard host: with more shards they
+  /// would be invoked out of global order, from window worker threads.
   RuntimeJob(ShardedRuntimeHost& host, VirtualMachine& vm, JobConfig config,
              std::unique_ptr<LoadBalancer> balancer);
   ~RuntimeJob();
@@ -136,8 +136,6 @@ class RuntimeJob {
   [[nodiscard]] std::size_t num_chares() const { return chares_.size(); }
   [[nodiscard]] int lb_period() const { return config_.lb_period; }
 
-  /// Simulator-built jobs only (a host has one engine per shard).
-  Simulator& sim();
   VirtualMachine& vm() { return vm_; }
 
   [[nodiscard]] PeId pe_of(ChareId chare) const;
@@ -306,9 +304,9 @@ class RuntimeJob {
   CLB_BARRIER_PHASE CLB_RANKED_FANOUT void complete_reduction(SimTime t,
                                                               double result);
   CLB_BARRIER_PHASE void mark_finished(SimTime t);
-  /// Merges iteration `it`'s per-shard tallies; stamps and returns true
-  /// when every chare has reported it.
-  CLB_BARRIER_PHASE bool merge_iteration(std::size_t it);
+  /// Merges iteration `it`'s per-shard tallies; stamps it when every
+  /// chare has reported it.
+  CLB_BARRIER_PHASE void merge_iteration(std::size_t it);
   /// Runs `fn` from the driving thread with every shard engine reporting
   /// `rank` as the executing event's (barrier recovery).
   CLB_BARRIER_PHASE void with_inherited_rank(std::uint64_t rank,

@@ -28,10 +28,6 @@ class ExecutionObserver {
   /// before the attempt runs — under migration faults it may still fail.
   virtual void on_migration(const RuntimeJob& /*job*/, ChareId /*chare*/,
                             PeId /*from*/, PeId /*to*/) {}
-
-  /// All chares completed application iteration `iteration`.
-  virtual void on_iteration_complete(const RuntimeJob& /*job*/,
-                                     int /*iteration*/, SimTime /*time*/) {}
 };
 
 }  // namespace cloudlb

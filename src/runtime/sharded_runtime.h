@@ -13,11 +13,11 @@ namespace cloudlb {
 
 class RuntimeJob;
 
-/// The shard-partitioned runtime driver: owns a ShardedSimulator and the
-/// Machine whose nodes are block-partitioned across its shards (node n ->
-/// shard n·S/N, contiguous near-equal blocks), and advances registered
-/// RuntimeJobs by alternating two execution regimes
-/// (docs/sharded-engine.md):
+/// The runtime driver behind every run_scenario call (one shard by
+/// default). Owns a ShardedSimulator and the Machine whose nodes are
+/// block-partitioned across its shards (node n -> shard n·S/N, contiguous
+/// near-equal blocks), and advances registered RuntimeJobs by alternating
+/// two execution regimes (docs/sharded-engine.md):
 ///
 ///  * **Windows** — while every job is in its compute phase, shards run
 ///    conservative lock-step windows (serially or on the worker team).
@@ -33,7 +33,8 @@ class RuntimeJob;
 ///    order on the driving thread. That regime is exactly a merged
 ///    single-engine execution: cross-shard reads are safe and every
 ///    timestamp — and hence every metric — is exact, which is what the
-///    differential tier pins against the legacy engine.
+///    differential tier pins against a single Simulator
+///    (tests/support/single_engine_scenario.h).
 ///
 /// A cascade that starts *and* completes inside one window is recovered
 /// by rewinding all shard clocks to the completion instant t* (legal
@@ -50,7 +51,7 @@ class ShardedRuntimeHost {
     /// cross-shard delivery latency (min_internode_delay of the jobs'
     /// network — see shard_window_width in runtime/network.h).
     SimTime window = SimTime::micros(60);
-    bool parallel = false;  ///< run windows on a worker team
+    bool parallel = false;  ///< run windows on a worker team (> 1 shard)
     int workers = 0;        ///< team size; <= 0 picks automatically
   };
 
@@ -106,8 +107,8 @@ class ShardedRuntimeHost {
       EngineCore::ClockFaultPolicy policy);
 
   /// Invoked from a global phase the moment a registered job finishes,
-  /// with the exact finish instant (scenarios hang the tickless power
-  /// meter's stop_at here).
+  /// with the exact finish instant (scenarios hang the power meter's
+  /// stop_at here).
   void set_on_job_finished(std::function<void(RuntimeJob&)> fn) {
     on_job_finished_ = std::move(fn);
   }

@@ -17,7 +17,9 @@ ShardedSimulator::ShardedSimulator(const Config& config) : config_{config} {
   states_.reserve(static_cast<std::size_t>(config.shards));
   for (int s = 0; s < config.shards; ++s)
     states_.push_back(std::make_unique<ShardState>());
-  if (config.parallel) {
+  // One shard always runs on the driving thread: a team could only add
+  // a thread hop per window.
+  if (config.parallel && config.shards > 1) {
     const int cap = config.workers > 0 ? config.workers : hardware_jobs();
     team_ = std::make_unique<WorkerTeam>(
         std::max(1, std::min(cap, config.shards)));

@@ -85,7 +85,8 @@ class ShardedSimulator {
     /// lower-bound every cross-shard post latency (enforced per post).
     SimTime lookahead = SimTime::micros(60);
     /// Execute windows on a persistent worker team instead of the calling
-    /// thread. Trace-identical to serial execution by construction.
+    /// thread. Trace-identical to serial execution by construction. Inert
+    /// with one shard, which always runs on the calling thread.
     bool parallel = false;
     /// Worker count for parallel mode; <= 0 picks min(shards,
     /// hardware_jobs()). Shards are dealt round-robin to workers.

@@ -4,7 +4,7 @@
 
 namespace cloudlb {
 
-TenantField::TenantField(Simulator& sim, Machine& machine,
+TenantField::TenantField(EngineCore& sim, Machine& machine,
                          TenantFieldConfig config)
     : sim_{sim}, config_{config}, rng_{config.seed} {
   CLB_CHECK(config.num_tenants >= 0);

@@ -4,7 +4,7 @@
 #include <memory>
 #include <vector>
 
-#include "sim/simulator.h"
+#include "sim/engine_core.h"
 #include "util/rng.h"
 #include "vm/interferer.h"
 
@@ -30,7 +30,9 @@ struct TenantFieldConfig {
 
 class TenantField {
  public:
-  TenantField(Simulator& sim, Machine& machine, TenantFieldConfig config);
+  /// `sim` runs every tenant's burst chain, so it must be the engine of
+  /// every core in `machine`: a Simulator, or a one-shard host's engine.
+  TenantField(EngineCore& sim, Machine& machine, TenantFieldConfig config);
 
   /// Begins every tenant's on/off cycle (first episode starts after a
   /// random fraction of an off-period, so tenants are desynchronized).
@@ -59,7 +61,7 @@ class TenantField {
   void schedule_on(int tenant);
   void schedule_off(int tenant);
 
-  Simulator& sim_;
+  EngineCore& sim_;
   TenantFieldConfig config_;
   Rng rng_;
   std::vector<Tenant> tenants_;

@@ -183,7 +183,7 @@ TEST(CliTest, PenaltyShardsOutputMatchesLegacy) {
     const CliResult legacy = cli(base);
     EXPECT_EQ(legacy.code, 0) << legacy.err;
     for (const auto& extra : std::vector<std::vector<const char*>>{
-             {"--shards=1", "--jobs=4"},  // single engine; --jobs inert
+             {"--shards=1"},
              {"--shards=2"},
              {"--shards=4", "--jobs=1"},
              {"--shards=4", "--jobs=3"}}) {
@@ -203,6 +203,26 @@ TEST(CliTest, TimelineRenders) {
   EXPECT_EQ(r.code, 0) << r.err;
   EXPECT_NE(r.out.find("core 0"), std::string::npos);
   EXPECT_NE(r.out.find("busy %"), std::string::npos);
+}
+
+TEST(CliTest, TimelineHeaderNamesTheInterference) {
+  const std::vector<std::string> base = {
+      "timeline", "--app=jacobi2d", "--cores=4", "--iterations=10",
+      "--bg-iterations=20", "--width=40"};
+  const auto header = [&base](std::vector<std::string> extra) {
+    std::vector<std::string> args = base;
+    args.insert(args.end(), extra.begin(), extra.end());
+    const CliResult r = cli(args);
+    EXPECT_EQ(r.code, 0) << r.err;
+    return r.out.substr(0, r.out.find('\n'));
+  };
+  EXPECT_EQ(header({}),
+            "jacobi2d on 4 cores, 'ia-refine', 2-core background job");
+  EXPECT_EQ(header({"--tenants=4"}),
+            "jacobi2d on 4 cores, 'ia-refine', 4 tenant VMs");
+  EXPECT_EQ(header({"--tenants=1", "--with-bg"}),
+            "jacobi2d on 4 cores, 'ia-refine', 2-core background job and 1 "
+            "tenant VM");
 }
 
 TEST(CliTest, RecordThenReplayRoundTrip) {
@@ -293,6 +313,21 @@ TEST(CliTest, ShardsWithTenantsFailsAtParseOnOneNode) {
                            "--iterations=20", "--shards=2", "--tenants=2"});
   EXPECT_EQ(r.code, 1);
   EXPECT_NE(r.err.find("--tenants"), std::string::npos) << r.err;
+}
+
+TEST(CliTest, JobsWithoutShardsFailsAtParse) {
+  // --jobs sizes the shard worker team, which one shard does not have;
+  // rejected with --shards left at its default and spelled out as 1.
+  std::vector<std::string> args = {"penalty", "--app=jacobi2d", "--cores=16",
+                                   "--iterations=20", "--bg-iterations=40",
+                                   "--jobs=2"};
+  for (int pass = 0; pass < 2; ++pass) {
+    const CliResult r = cli(args);
+    EXPECT_EQ(r.code, 1) << pass;
+    EXPECT_NE(r.err.find("--jobs"), std::string::npos) << r.err;
+    EXPECT_NE(r.err.find("--shards"), std::string::npos) << r.err;
+    args.emplace_back("--shards=1");
+  }
 }
 
 TEST(CliTest, TimelineWithShardsFailsAtParse) {

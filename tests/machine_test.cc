@@ -276,35 +276,6 @@ TEST(PowerMeterTest, FullyLoadedQuadCoreNodeHitsPeak) {
   EXPECT_NEAR(meter.average_power_watts(), 170.0, 1e-3);
 }
 
-TEST(PowerMeterTest, SamplesAtOneHertz) {
-  Simulator sim;
-  Machine m{sim, MachineConfig{.nodes = 1, .cores_per_node = 1, .core_speed_overrides = {}}};
-  PowerMeter meter{sim, m};
-  meter.start();
-  sim.run_until(SimTime::from_seconds(5.5));
-  meter.stop();
-  EXPECT_EQ(meter.samples().size(), 5u);
-  for (const auto& s : meter.samples())
-    EXPECT_NEAR(s.total_watts, 40.0, 1e-9);
-}
-
-TEST(PowerMeterTest, SampledSeriesMatchesExactAverage) {
-  Simulator sim;
-  Machine m{sim, MachineConfig{.nodes = 1, .cores_per_node = 2, .core_speed_overrides = {}}};
-  const ContextId ctx = m.core(0).register_context("hog");
-  // Busy 3 s of a 6 s window → utilization 0.5 on one of two cores.
-  m.core(0).demand(ctx, SimTime::seconds(3), [] {});
-  PowerMeter meter{sim, m};
-  meter.start();
-  sim.run_until(SimTime::seconds(6));
-  meter.stop();
-  double sampled = 0.0;
-  for (const auto& s : meter.samples()) sampled += s.total_watts;
-  sampled /= static_cast<double>(meter.samples().size());
-  EXPECT_NEAR(sampled, meter.average_power_watts(), 1e-3);
-  EXPECT_NEAR(meter.average_power_watts(), 40.0 + 32.5 * 0.5, 1e-3);
-}
-
 TEST(PowerMeterTest, StopFreezesWindow) {
   Simulator sim;
   Machine m{sim, MachineConfig{.nodes = 1, .cores_per_node = 1, .core_speed_overrides = {}}};

@@ -1,7 +1,7 @@
 // Differential harness for the refinement engine: the indexed
 // O((T+M)·log P) production kernel (refinement.cc) must produce the same
 // migration schedule as the retained naive O(donors·T·|underset|) reference
-// (refinement_naive.cc) on randomized instances spanning machine sizes,
+// (support/refinement_naive.cc) on randomized instances spanning machine sizes,
 // overdecomposition ratios, background-load shapes, ε values, tie-break
 // modes and migration caps. Beyond the acceptance bar (equal migration
 // count, max load within 1e-9) the harness asserts bit-identical
@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "lb/refinement.h"
+#include "support/refinement_naive.h"
 #include "util/rng.h"
 
 namespace cloudlb {

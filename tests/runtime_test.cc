@@ -140,16 +140,11 @@ class CountingObserver final : public ExecutionObserver {
   void on_migration(const RuntimeJob&, ChareId, PeId, PeId) override {
     ++migrations;
   }
-  void on_iteration_complete(const RuntimeJob&, int iteration,
-                             SimTime) override {
-    iterations.push_back(iteration);
-  }
 
   int tasks = 0;
   int lb_steps = 0;
   int migrations = 0;
   int total_migrations = 0;
-  std::vector<int> iterations;
   SimTime last_task_end;
 };
 
@@ -482,10 +477,14 @@ TEST(RuntimeJobTest, ObserverSeesEverything) {
   EXPECT_EQ(obs.lb_steps, 1);
   EXPECT_EQ(obs.migrations, 2);  // chares 0 and 3 change PEs
   EXPECT_EQ(obs.total_migrations, 2);
-  ASSERT_EQ(obs.iterations.size(), 10u);
-  for (int i = 0; i < 10; ++i)
-    EXPECT_EQ(obs.iterations[static_cast<std::size_t>(i)], i);
   EXPECT_EQ(obs.last_task_end, rig.job->finish_time());
+  // Every iteration completed, in order, by the end of the run.
+  const auto& times = rig.job->iteration_times();
+  ASSERT_EQ(times.size(), 10u);
+  EXPECT_GT(times.front(), SimTime::zero());
+  for (std::size_t i = 1; i < times.size(); ++i)
+    EXPECT_GT(times[i], times[i - 1]);
+  EXPECT_LE(times.back(), rig.job->finish_time());
 }
 
 TEST(RuntimeJobTest, IterationTimesMonotone) {
@@ -517,26 +516,30 @@ TEST(RuntimeJobTest, NicContentionSerializesSimultaneousSends) {
     /// Sender fires one 100 kB message at a cross-node receiver on start.
     class BlastChare final : public Chare {
      public:
-      explicit BlastChare(ChareId dest) : dest_{dest} {}
+      BlastChare(ChareId dest, const Simulator& sim)
+          : dest_{dest}, sim_{sim} {}
       void on_start() override {
         if (dest_ >= 0) send(dest_, 0, {}, 100'000);
       }
       SimTime cost(const Message&) const override { return SimTime::zero(); }
       void execute(const Message&) override {
-        received_at = job().sim().now();
+        received_at = sim_.now();
         finish();
       }
       SimTime received_at;
 
      private:
       ChareId dest_ = -1;
+      const Simulator& sim_;
     };
 
     // Chares 0,1 -> PEs 0,1 (node 0) send; chares 2,3 -> PEs 2,3 receive.
-    static_cast<void>(rig.job->add_chare(std::make_unique<BlastChare>(2)));
-    static_cast<void>(rig.job->add_chare(std::make_unique<BlastChare>(3)));
-    auto r2 = std::make_unique<BlastChare>(-1);
-    auto r3 = std::make_unique<BlastChare>(-1);
+    static_cast<void>(
+        rig.job->add_chare(std::make_unique<BlastChare>(2, rig.sim)));
+    static_cast<void>(
+        rig.job->add_chare(std::make_unique<BlastChare>(3, rig.sim)));
+    auto r2 = std::make_unique<BlastChare>(-1, rig.sim);
+    auto r3 = std::make_unique<BlastChare>(-1, rig.sim);
     auto* p2 = r2.get();
     auto* p3 = r3.get();
     static_cast<void>(rig.job->add_chare(std::move(r2)));

@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <memory>
 #include <numeric>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -19,6 +18,7 @@
 #include "runtime/network.h"
 #include "runtime/sharded_runtime.h"
 #include "sim/simulator.h"
+#include "support/single_engine_scenario.h"
 #include "util/check.h"
 #include "util/rng.h"
 #include "util/sim_time.h"
@@ -281,7 +281,8 @@ TEST(ShardedFaultTest, CrossShardInterferenceMatchesLegacy) {
 }
 
 // Failed migrations retried across shards: retries that fail at the same
-// instant redraw their fault verdicts in one order on every shard count.
+// instant redraw their fault verdicts in one order on every shard count,
+// the order of the single-engine reference.
 // This once diverged (3370 / 3389 / 3377 migrations for shards 1 / 2 / 4):
 // the global phase broke cross-engine ties by shard index instead of by
 // (time, stamp, rank), arrivals scheduled across engines lost the
@@ -296,28 +297,24 @@ TEST(ShardedFaultTest, FailedMigrationRetriesAreShardIndependent) {
   config.bg_iterations = 100;
   config.job.migration_max_retries = 2;
   config.faults = "failmig(prob=0.3);seed(value=7)";
-  std::optional<RunResult> reference;
+  const RunResult reference = run_single_engine_scenario(config);
+  EXPECT_GT(reference.app_counters.migration_retries, 0);
   for (const int shards : {1, 2, 4}) {
     config.shards = shards;
     const RunResult r = run_scenario(config);
-    EXPECT_GT(r.app_counters.migration_retries, 0);
-    if (!reference) {
-      reference = r;
-      continue;
-    }
     SCOPED_TRACE("shards=" + std::to_string(shards));
-    EXPECT_EQ(r.app_elapsed, reference->app_elapsed);
-    EXPECT_EQ(r.bg_elapsed, reference->bg_elapsed);
-    EXPECT_EQ(r.energy_joules, reference->energy_joules);
+    EXPECT_EQ(r.app_elapsed, reference.app_elapsed);
+    EXPECT_EQ(r.bg_elapsed, reference.bg_elapsed);
+    EXPECT_EQ(r.energy_joules, reference.energy_joules);
     EXPECT_EQ(r.app_counters.tasks_executed,
-              reference->app_counters.tasks_executed);
+              reference.app_counters.tasks_executed);
     EXPECT_EQ(r.app_counters.messages_sent,
-              reference->app_counters.messages_sent);
-    EXPECT_EQ(r.app_counters.migrations, reference->app_counters.migrations);
+              reference.app_counters.messages_sent);
+    EXPECT_EQ(r.app_counters.migrations, reference.app_counters.migrations);
     EXPECT_EQ(r.app_counters.migration_retries,
-              reference->app_counters.migration_retries);
+              reference.app_counters.migration_retries);
     EXPECT_EQ(r.app_counters.migrations_failed,
-              reference->app_counters.migrations_failed);
+              reference.app_counters.migrations_failed);
   }
 }
 

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <numeric>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "runtime/job.h"
 #include "runtime/network.h"
 #include "runtime/sharded_runtime.h"
+#include "support/single_engine_scenario.h"
 #include "util/check.h"
 #include "util/rng.h"
 #include "util/sim_time.h"
@@ -23,10 +25,12 @@
 #include "vm/virtual_machine.h"
 
 // Differential tier for the shard-partitioned runtime: the same scenario
-// run on the legacy single engine and on ShardedRuntimeHost must produce
-// bit-identical aggregate metrics for every shard count and worker count
-// (docs/sharded-engine.md). The grid is seeded; set CLOUDLB_SHARD_SEED_BASE
-// to shift all 256 scenarios to a fresh region of the configuration space.
+// run by the test-only single-Simulator reference
+// (support/single_engine_scenario.h) and by run_scenario on
+// ShardedRuntimeHost must produce bit-identical aggregate metrics for every
+// shard count and worker count (docs/sharded-engine.md). The grid is
+// seeded; set CLOUDLB_SHARD_SEED_BASE to shift all 256 scenarios to a
+// fresh region of the configuration space.
 
 namespace cloudlb {
 namespace {
@@ -94,7 +98,7 @@ Metrics metrics_of(const RunResult& r) {
 }
 
 /// One random multi-node scenario. Small on purpose — the grid runs each
-/// one up to eight times — but varied where variation stresses the
+/// one up to nine times — but varied where variation stresses the
 /// partition: heterogeneous core speeds break PE symmetry, >= 2 chares
 /// per PE keeps migrations meaningful, background jobs exercise the
 /// two-job barrier bookkeeping, staggered BG starts exercise timed
@@ -172,20 +176,12 @@ TEST_P(ShardedGridTest, MetricsMatchLegacyBitForBit) {
                " cores=" + std::to_string(base.app_cores) + " bg=" +
                std::to_string(base.with_background));
 
-  // The legacy engine must always complete; it is the reference.
-  const Metrics legacy = metrics_of(run_scenario(base));
+  // The single-engine reference must always complete.
+  const Metrics legacy = metrics_of(run_single_engine_scenario(base));
   EXPECT_GT(legacy.tasks, 0);
 
-  // --shards=1 is the legacy dispatch path: bitwise identity is free, and
-  // a nonzero worker count must be inert there.
-  {
-    ScenarioConfig cfg = base;
-    cfg.shards = 1;
-    cfg.shard_workers = 4;
-    EXPECT_EQ(metrics_of(run_scenario(cfg)), legacy) << "--shards=1 diverged";
-  }
-
-  for (const int shards : {2, 4, 7}) {
+  // At one shard the worker count is inert: no team is built.
+  for (const int shards : {1, 2, 4, 7}) {
     ScenarioConfig cfg = base;
     cfg.shards = shards;
     cfg.shard_workers = 1;
@@ -202,6 +198,8 @@ TEST_P(ShardedGridTest, MetricsMatchLegacyBitForBit) {
       EXPECT_EQ(*serial.metrics, legacy)
           << "sharded run diverged from legacy at " << shards << " shards";
     } else {
+      // One shard is the default run_scenario path; it must not refuse.
+      EXPECT_NE(shards, 1) << "one-shard run refused: " << serial.refusal;
       // A cascade can only be outrun by traffic that keeps executing
       // while the app waits at its barrier — without a background job
       // every engine quiesces behind the wave and rewind always succeeds.
@@ -245,7 +243,7 @@ TEST(ShardedGridTally, RefusalsStayTheRareException) {
 
 // ------------------------------------------------------------ edge cases
 
-/// Legacy-vs-sharded comparison for one explicit machine shape.
+/// Reference-vs-host comparison for one explicit machine shape.
 void expect_shape_matches(int nodes, int cores_per_node, int shards) {
   ScenarioConfig cfg;
   cfg.machine.cores_per_node = cores_per_node;
@@ -256,8 +254,7 @@ void expect_shape_matches(int nodes, int cores_per_node, int shards) {
   cfg.app.blocks_y = std::max(3, (2 * cfg.app_cores + 7) / 8);
   cfg.lb_period = 3;
   cfg.with_background = false;
-  cfg.shards = 1;
-  const Metrics legacy = metrics_of(run_scenario(cfg));
+  const Metrics legacy = metrics_of(run_single_engine_scenario(cfg));
 
   cfg.shards = shards;
   for (const int workers : {1, 3}) {
@@ -284,9 +281,9 @@ TEST(ShardedEdgeTest, SingleNodeShards) {
   expect_shape_matches(/*nodes=*/4, /*cores_per_node=*/2, /*shards=*/4);
 }
 
-TEST(ShardedEdgeTest, SingleNodeMachineStaysLegacy) {
-  // One node cannot be partitioned; --shards must dispatch to the legacy
-  // path (and so trivially match it) instead of building a one-shard host.
+TEST(ShardedEdgeTest, SingleNodeMachineClampsToOneShard) {
+  // One node cannot be partitioned: the host clamps --shards to one
+  // shard, where the worker count is inert.
   ScenarioConfig cfg;
   cfg.machine.cores_per_node = 4;
   cfg.app_cores = 4;
@@ -294,11 +291,75 @@ TEST(ShardedEdgeTest, SingleNodeMachineStaysLegacy) {
   cfg.app.blocks_x = 4;
   cfg.app.blocks_y = 2;
   cfg.with_background = false;
-  cfg.shards = 1;
-  const Metrics legacy = metrics_of(run_scenario(cfg));
+  const Metrics legacy = metrics_of(run_single_engine_scenario(cfg));
   cfg.shards = 8;
   cfg.shard_workers = 2;
   EXPECT_EQ(metrics_of(run_scenario(cfg)), legacy);
+}
+
+// ------------------------------- one-shard host: tenants and observers
+
+/// A small seeded public-cloud scenario: a tenant field, with or without
+/// the 2-core background job.
+ScenarioConfig tenant_scenario(std::uint64_t seed, bool with_background) {
+  ScenarioConfig cfg;
+  cfg.app_cores = 8;
+  cfg.app.name = seed % 2 == 0 ? "jacobi2d" : "mol3d";
+  cfg.app.iterations = 12;
+  cfg.app.seed = seed;
+  cfg.lb_period = 3;
+  cfg.bg_iterations = 30;
+  cfg.with_background = with_background;
+  cfg.tenants = 4;
+  cfg.tenant_config.mean_on_seconds = 0.05;
+  cfg.tenant_config.mean_off_seconds = 0.05;
+  cfg.tenant_config.seed = 17 + seed;
+  return cfg;
+}
+
+TEST(OneShardHostTest, TenantScenariosMatchSingleEngine) {
+  for (std::uint64_t seed = 0; seed < 4; ++seed) {
+    for (const bool bg : {false, true}) {
+      const ScenarioConfig cfg = tenant_scenario(seed, bg);
+      SCOPED_TRACE("seed=" + std::to_string(seed) +
+                   " bg=" + std::to_string(bg));
+      const Metrics legacy = metrics_of(run_single_engine_scenario(cfg));
+      EXPECT_GT(legacy.migrations, 0);
+      EXPECT_EQ(metrics_of(run_scenario(cfg)), legacy);
+    }
+  }
+}
+
+TEST(OneShardHostTest, TracerCsvMatchesSingleEngine) {
+  for (const bool bg : {false, true}) {
+    SCOPED_TRACE("bg=" + std::to_string(bg));
+    const ScenarioConfig cfg = tenant_scenario(0, bg);
+    TimelineTracer reference;
+    TimelineTracer host;
+    run_single_engine_scenario(cfg, &reference);
+    run_scenario(cfg, &host);
+    std::ostringstream want;
+    std::ostringstream got;
+    reference.write_csv(want);
+    host.write_csv(got);
+    EXPECT_FALSE(host.lb_marks().empty());
+    EXPECT_EQ(got.str(), want.str());
+  }
+}
+
+TEST(OneShardHostTest, MultiShardObserverIsRefused) {
+  ScenarioConfig cfg;
+  cfg.machine.cores_per_node = 2;
+  cfg.app_cores = 4;
+  cfg.app.iterations = 4;
+  cfg.app.blocks_x = 4;
+  cfg.app.blocks_y = 2;
+  cfg.with_background = false;
+  cfg.shards = 2;
+  TimelineTracer tracer;
+  EXPECT_THROW(run_scenario(cfg, &tracer), CheckFailure);
+  cfg.shards = 1;
+  EXPECT_NO_THROW(run_scenario(cfg, &tracer));
 }
 
 // --------------------------------------- direct-host structural checks
