@@ -1,11 +1,14 @@
 // Microbenchmarks (google-benchmark) for the substrate hot paths: event
 // queue throughput, processor-sharing core updates, the LB strategies'
-// decision cost at various problem sizes, and a small end-to-end scenario.
+// decision cost at various problem sizes, the Mol3D force kernel, and a
+// small end-to-end scenario.
 
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <numeric>
 
+#include "apps/mol3d.h"
 #include "core/background_estimator.h"
 #include "core/interference_aware_lb.h"
 #include "core/scenario.h"
@@ -13,6 +16,7 @@
 #include "lb/refinement.h"
 #include "machine/core.h"
 #include "sim/simulator.h"
+#include "support/mol3d_reference_forces.h"
 #include "support/refinement_naive.h"
 #include "util/rng.h"
 
@@ -187,6 +191,72 @@ void BM_CoreProcessorSharing(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * contexts * 20);
 }
 BENCHMARK(BM_CoreProcessorSharing)->Arg(2)->Arg(8)->Arg(32);
+
+// ---------------------------------------------------------- Mol3D forces
+//
+// One Mol3dChare force computation per iteration, cycling over the cells
+// of the default configuration's initial particle set; each cell's ghosts
+// are its six face neighbours' particles, as a real iteration sends them.
+
+struct Mol3dCell {
+  std::vector<Particle> particles;
+  std::array<std::vector<double>, 6> sides;
+};
+
+std::vector<Mol3dCell> mol3d_default_cells() {
+  const Mol3dConfig config;
+  const int nx = config.cells_x, ny = config.cells_y, nz = config.cells_z;
+  const auto cell_id = [&](int x, int y, int z) {
+    return static_cast<std::size_t>((((z + nz) % nz) * ny + (y + ny) % ny) * nx +
+                                    (x + nx) % nx);
+  };
+  std::vector<Mol3dCell> cells(static_cast<std::size_t>(config.num_cells()));
+  for (const Particle& p : mol3d_initial_particles(config))
+    cells[cell_id(std::min(static_cast<int>(p.x), nx - 1),
+                  std::min(static_cast<int>(p.y), ny - 1),
+                  std::min(static_cast<int>(p.z), nz - 1))]
+        .particles.push_back(p);
+  for (int z = 0; z < nz; ++z)
+    for (int y = 0; y < ny; ++y)
+      for (int x = 0; x < nx; ++x) {
+        const std::size_t neighbours[6] = {
+            cell_id(x - 1, y, z), cell_id(x + 1, y, z), cell_id(x, y - 1, z),
+            cell_id(x, y + 1, z), cell_id(x, y, z - 1), cell_id(x, y, z + 1)};
+        auto& sides = cells[cell_id(x, y, z)].sides;
+        for (std::size_t s = 0; s < 6; ++s)
+          for (const Particle& p : cells[neighbours[s]].particles)
+            sides[s].insert(sides[s].end(), {p.x, p.y, p.z});
+      }
+  return cells;
+}
+
+template <auto Kernel>
+void BM_Mol3dKernel(benchmark::State& state) {
+  const Mol3dConfig config;
+  const std::vector<Mol3dCell> cells = mol3d_default_cells();
+  std::vector<Mol3dGhosts> ghosts(cells.size());
+  for (std::size_t c = 0; c < cells.size(); ++c)
+    for (std::size_t s = 0; s < 6; ++s) ghosts[c][s] = cells[c].sides[s];
+  Mol3dForces forces;
+  std::size_t c = 0;
+  for (auto _ : state) {
+    Kernel(cells[c].particles, ghosts[c], config, forces);
+    benchmark::DoNotOptimize(forces.fx.data());
+    benchmark::ClobberMemory();
+    c = c + 1 == cells.size() ? 0 : c + 1;
+  }
+}
+
+void BM_Mol3dForces(benchmark::State& state) {
+  BM_Mol3dKernel<mol3d_forces>(state);
+}
+BENCHMARK(BM_Mol3dForces)->Unit(benchmark::kMicrosecond);
+
+// The retained scalar loop the kernel must match bit for bit.
+void BM_Mol3dForcesReference(benchmark::State& state) {
+  BM_Mol3dKernel<mol3d_reference_forces>(state);
+}
+BENCHMARK(BM_Mol3dForcesReference)->Unit(benchmark::kMicrosecond);
 
 // ---------------------------------------------------------- LB decisions
 

@@ -14,6 +14,9 @@
 #    runs with 16 tenants on 32 cores (the ia-refine-ewma preset and its
 #    spelled-out form, gain-gated and refine with --estimator), and
 #    --jobs without --shards (rejected);
+#  - `penalty` for mol3d: perfbench's cloud-mol3d-tenants configuration
+#    (32 cores, 16 tenants, --estimator=regress) cut to 40 iterations, and
+#    a run beside the 2-core background job;
 #  - `timeline` with the 2-core background job and with a tenant field;
 #  - `record`, then `replay` of the trace it wrote (record.lbstats, kept
 #    in OUT_DIR; both run from OUT_DIR so no output names its path);
@@ -82,6 +85,10 @@ for balancer in gain-gated refine; do
     "${common[@]}" "${tenants[@]}" --balancer="${balancer}" \
     --estimator=regress
 done
+run penalty_mol3d_tenants_regress "${cloudlb}" penalty --app=mol3d \
+  --cores=32 --tenants=16 --estimator=regress --iterations=40
+run penalty_mol3d_bg "${cloudlb}" penalty --app=mol3d --cores=16 \
+  --iterations=40 --bg-iterations=100 --lb-period=5
 run penalty_jobs_without_shards "${cloudlb}" penalty "${common[@]}" \
   --cores=16 --jobs=2
 

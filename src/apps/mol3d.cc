@@ -1,6 +1,10 @@
 #include "apps/mol3d.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <sstream>
 
 #include "util/check.h"
@@ -12,7 +16,17 @@ namespace {
 
 enum MolTag : int { kMolGhost = 1, kMolCompute = 2 };
 
+/// Periodic wrap into [0, box). A moved particle lies in (−box, 2·box),
+/// where one add or subtract gives fmod's result exactly: fmod returns v
+/// itself for |v| < box, and v − box is exact on [box, 2·box) by
+/// Sterbenz's lemma. v = −box stays on the fmod path, which yields −0.0.
 double wrap(double v, double box) {
+  if (v >= 0.0) {
+    if (v < box) return v;
+    if (v < 2.0 * box) return v - box;
+  } else if (v > -box) {
+    return v + box;
+  }
   v = std::fmod(v, box);
   return v < 0 ? v + box : v;
 }
@@ -24,7 +38,133 @@ double min_image(double d, double box) {
   return d;
 }
 
+/// Two doubles in one SSE2 register, and the lane masks their comparisons
+/// yield (GCC/Clang vector extensions).
+using V2d = double __attribute__((vector_size(16)));
+using V2i = std::int64_t __attribute__((vector_size(16)));
+
+V2d load2(const double* p) {
+  V2d v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+void store2(double* p, V2d v) { std::memcpy(p, &v, sizeof v); }
+
+/// min_image on two lanes, equal bit for bit to the scalar branch in each:
+/// d − a, where the masks pick a = box, −box or +0.0. Subtracting keeps it
+/// exact: d − (+0.0) is d for every d, −0.0 included (an added +0.0 would
+/// turn −0.0 into +0.0), and d − (−box) is d + box by definition.
+V2d min_image(V2d d, V2d box, V2d half) {
+  const V2i a = ((d > half) & std::bit_cast<V2i>(box)) |
+                ((d < -half) & std::bit_cast<V2i>(-box));
+  return d - std::bit_cast<V2d>(a);
+}
+
+/// Scratch for mol3d_forces. One per host thread, not per chare: a thread
+/// runs one force computation at a time, and per-chare buffers would each
+/// keep the capacity of their largest computation.
+struct ForceScratch {
+  /// Positions: the particles, then every ghost in (side, k) order, then
+  /// one padding slot so a two-lane pass may start at any index.
+  std::vector<double> x, y, z;
+  std::vector<double> dx, dy, dz, r2;  ///< displacements from one particle
+  std::vector<std::size_t> hits;       ///< indices within the cutoff, in order
+};
+
 }  // namespace
+
+void mol3d_forces(std::span<const Particle> particles, const Mol3dGhosts& ghosts,
+                  const Mol3dConfig& config, Mol3dForces& out) {
+  const double box[3] = {static_cast<double>(config.cells_x),
+                         static_cast<double>(config.cells_y),
+                         static_cast<double>(config.cells_z)};
+  const double rc2 = config.cutoff * config.cutoff;
+  const double sigma2 = config.sigma * config.sigma;
+  // Clamp r² from below to cap the force singularity at overlap.
+  const double r2_min = 0.25 * sigma2;
+  // d(LJ)/dr / r for a pair within the cutoff: positive = repulsive.
+  const auto f_over_r = [&](double r2) {
+    r2 = std::max(r2, r2_min);
+    const double s2 = sigma2 / r2;
+    const double s6 = s2 * s2 * s2;
+    return 24.0 * config.epsilon * (2.0 * s6 * s6 - s6) / r2;
+  };
+
+  const std::size_t n = particles.size();
+  std::vector<double>& fx = out.fx;
+  std::vector<double>& fy = out.fy;
+  std::vector<double>& fz = out.fz;
+  fx.assign(n, 0.0);
+  fy.assign(n, 0.0);
+  fz.assign(n, 0.0);
+
+  thread_local ForceScratch s;
+  std::size_t end = n;
+  for (const auto& side : ghosts) end += side.size() / 3;
+  for (auto* v : {&s.x, &s.y, &s.z, &s.dx, &s.dy, &s.dz, &s.r2})
+    v->resize(end + 1);
+  s.hits.resize(end);
+  for (std::size_t i = 0; i < n; ++i) {
+    s.x[i] = particles[i].x;
+    s.y[i] = particles[i].y;
+    s.z[i] = particles[i].z;
+  }
+  std::size_t k = n;
+  for (const auto& side : ghosts)
+    for (std::size_t t = 0; t + 2 < side.size(); t += 3, ++k) {
+      s.x[k] = side[t];
+      s.y[k] = side[t + 1];
+      s.z[k] = side[t + 2];
+    }
+  s.x[end] = s.y[end] = s.z[end] = 0.0;
+
+  // Row m pairs particle m with every later particle and every ghost: a
+  // two-lane distance pass, a branch-free compaction of the indices within
+  // the cutoff, then the forces in index order. Particle m's sum thus
+  // takes −c(i, m) for i < m (from earlier rows), then +c(m, j) for j > m,
+  // then the ghosts in (side, k) order: the scalar pair loop's order.
+  const V2d box_x = {box[0], box[0]}, half_x = 0.5 * box_x;
+  const V2d box_y = {box[1], box[1]}, half_y = 0.5 * box_y;
+  const V2d box_z = {box[2], box[2]}, half_z = 0.5 * box_z;
+  for (std::size_t m = 0; m < n; ++m) {
+    const V2d px = {s.x[m], s.x[m]};
+    const V2d py = {s.y[m], s.y[m]};
+    const V2d pz = {s.z[m], s.z[m]};
+    for (std::size_t j = m + 1; j < end; j += 2) {
+      const V2d dx = min_image(px - load2(&s.x[j]), box_x, half_x);
+      const V2d dy = min_image(py - load2(&s.y[j]), box_y, half_y);
+      const V2d dz = min_image(pz - load2(&s.z[j]), box_z, half_z);
+      store2(&s.dx[j], dx);
+      store2(&s.dy[j], dy);
+      store2(&s.dz[j], dz);
+      store2(&s.r2[j], dx * dx + dy * dy + dz * dz);
+    }
+    // !(r2 >= rc2), not r2 < rc2: a NaN distance counts, as it always has.
+    // The loop stops at `end`, so the padding slot is never a hit.
+    std::size_t hits = 0;
+    for (std::size_t j = m + 1; j < end; ++j) {
+      s.hits[hits] = j;
+      hits += static_cast<std::size_t>(!(s.r2[j] >= rc2));
+    }
+    double fxm = fx[m], fym = fy[m], fzm = fz[m];
+    for (std::size_t h = 0; h < hits; ++h) {
+      const std::size_t j = s.hits[h];
+      const double f = f_over_r(s.r2[j]);
+      fxm += f * s.dx[j];
+      fym += f * s.dy[j];
+      fzm += f * s.dz[j];
+      if (j < n) {  // an own particle takes the opposite force
+        fx[j] -= f * s.dx[j];
+        fy[j] -= f * s.dy[j];
+        fz[j] -= f * s.dz[j];
+      }
+    }
+    fx[m] = fxm;
+    fy[m] = fym;
+    fz[m] = fzm;
+  }
+}
 
 void Mol3dConfig::validate() const {
   CLB_CHECK_MSG(cells_x >= 3 && cells_y >= 3 && cells_z >= 3,
@@ -205,54 +345,14 @@ void Mol3dChare::compute_forces_and_integrate() {
   const double box[3] = {static_cast<double>(config_.cells_x),
                          static_cast<double>(config_.cells_y),
                          static_cast<double>(config_.cells_z)};
-  const double rc2 = config_.cutoff * config_.cutoff;
-  const double sigma2 = config_.sigma * config_.sigma;
-  // Clamp r² from below to cap the force singularity at overlap.
-  const double r2_min = 0.25 * sigma2;
-
-  const std::size_t n = particles_.size();
-  std::vector<double> fx(n, 0.0), fy(n, 0.0), fz(n, 0.0);
-
-  auto accumulate = [&](std::size_t i, double dx, double dy, double dz,
-                        double* fxj, double* fyj, double* fzj) {
-    double r2 = dx * dx + dy * dy + dz * dz;
-    if (r2 >= rc2) return;
-    r2 = std::max(r2, r2_min);
-    const double s2 = sigma2 / r2;
-    const double s6 = s2 * s2 * s2;
-    // d(LJ)/dr / r: positive = repulsive.
-    const double f_over_r = 24.0 * config_.epsilon * (2.0 * s6 * s6 - s6) / r2;
-    fx[i] += f_over_r * dx;
-    fy[i] += f_over_r * dy;
-    fz[i] += f_over_r * dz;
-    if (fxj != nullptr) {
-      *fxj -= f_over_r * dx;
-      *fyj -= f_over_r * dy;
-      *fzj -= f_over_r * dz;
-    }
-  };
-
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      const double dx = min_image(particles_[i].x - particles_[j].x, box[0]);
-      const double dy = min_image(particles_[i].y - particles_[j].y, box[1]);
-      const double dz = min_image(particles_[i].z - particles_[j].z, box[2]);
-      accumulate(i, dx, dy, dz, &fx[j], &fy[j], &fz[j]);
-    }
-  }
+  Mol3dGhosts ghosts;
   const auto git = ghosts_.find(iter_);
-  if (git != ghosts_.end()) {
-    for (const auto& g : git->second) {
-      for (std::size_t k = 0; k + 2 < g.size(); k += 3) {
-        for (std::size_t i = 0; i < n; ++i) {
-          const double dx = min_image(particles_[i].x - g[k], box[0]);
-          const double dy = min_image(particles_[i].y - g[k + 1], box[1]);
-          const double dz = min_image(particles_[i].z - g[k + 2], box[2]);
-          accumulate(i, dx, dy, dz, nullptr, nullptr, nullptr);
-        }
-      }
-    }
-  }
+  if (git != ghosts_.end())
+    for (std::size_t side = 0; side < ghosts.size(); ++side)
+      ghosts[side] = git->second[side];
+  thread_local Mol3dForces forces;
+  mol3d_forces(particles_, ghosts, config_, forces);
+  const std::size_t n = particles_.size();
 
   // Symplectic Euler, then periodic wrap and leaver detection. On the
   // final iteration nothing is staged: there is no further send phase, so
@@ -262,9 +362,9 @@ void Mol3dChare::compute_forces_and_integrate() {
   stay.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     Particle p = particles_[i];
-    p.vx += fx[i] * config_.dt;
-    p.vy += fy[i] * config_.dt;
-    p.vz += fz[i] * config_.dt;
+    p.vx += forces.fx[i] * config_.dt;
+    p.vy += forces.fy[i] * config_.dt;
+    p.vz += forces.fz[i] * config_.dt;
     p.x = wrap(p.x + p.vx * config_.dt, box[0]);
     p.y = wrap(p.y + p.vy * config_.dt, box[1]);
     p.z = wrap(p.z + p.vz * config_.dt, box[2]);

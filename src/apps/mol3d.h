@@ -3,6 +3,7 @@
 #include <array>
 #include <cstdint>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "runtime/chare.h"
@@ -55,6 +56,24 @@ struct Mol3dConfig {
   int num_cells() const { return cells_x * cells_y * cells_z; }
   void validate() const;
 };
+
+/// The ghost positions one cell holds for a force computation: for each
+/// face (0=x− 1=x+ 2=y− 3=y+ 4=z− 5=z+) a run of xyz triples.
+using Mol3dGhosts = std::array<std::span<const double>, 6>;
+
+/// Per-particle force components, index-aligned with the particles.
+struct Mol3dForces {
+  std::vector<double> fx, fy, fz;
+};
+
+/// Lennard-Jones forces on `particles` from each other and from `ghosts`,
+/// using minimum-image displacements in the periodic box and
+/// config.cutoff; `out` is resized to particles.size(). Every force is
+/// bit-identical to the original scalar pair loop
+/// (tests/support/mol3d_reference_forces.h): docs/applications.md states
+/// the summation order and expressions this relies on.
+void mol3d_forces(std::span<const Particle> particles, const Mol3dGhosts& ghosts,
+                  const Mol3dConfig& config, Mol3dForces& out);
 
 /// One spatial cell of the Mol3D decomposition. Each iteration it ships
 /// its particle positions (plus any particles that left its bounds) to its

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <set>
+#include <string>
 
 #include "apps/app_factory.h"
 #include "apps/jacobi2d.h"
@@ -14,7 +17,9 @@
 #include "machine/machine.h"
 #include "runtime/job.h"
 #include "sim/simulator.h"
+#include "support/mol3d_reference_forces.h"
 #include "util/check.h"
+#include "util/rng.h"
 #include "vm/virtual_machine.h"
 
 namespace cloudlb {
@@ -449,6 +454,284 @@ TEST(Mol3dTest, CostScalesWithParticleCount) {
   };
   // Pairwise work grows superlinearly in density.
   EXPECT_GT(cpu(big), 2.5 * cpu(small));
+}
+
+/// One input of the Mol3D force kernel: a cell's particles and the ghost
+/// positions of its six faces as xyz triples.
+struct ForceInput {
+  std::vector<Particle> particles;
+  std::array<std::vector<double>, 6> sides;
+
+  Mol3dGhosts ghosts() const {
+    Mol3dGhosts g;
+    for (std::size_t s = 0; s < g.size(); ++s) g[s] = sides[s];
+    return g;
+  }
+  void add_particle(double x, double y, double z) {
+    Particle p;
+    p.x = x;
+    p.y = y;
+    p.z = z;
+    particles.push_back(p);
+  }
+  void add_ghost(std::size_t side, double x, double y, double z) {
+    sides[side].insert(sides[side].end(), {x, y, z});
+  }
+};
+
+/// Checks mol3d_forces against the retained scalar loop, bit for bit.
+/// `out` is reused across calls, as the runtime reuses its buffer.
+void expect_forces_match_reference(const ForceInput& in,
+                                   const Mol3dConfig& config,
+                                   Mol3dForces& out, const std::string& what) {
+  Mol3dForces want;
+  mol3d_reference_forces(in.particles, in.ghosts(), config, want);
+  mol3d_forces(in.particles, in.ghosts(), config, out);
+  ASSERT_EQ(out.fx.size(), in.particles.size()) << what;
+  ASSERT_EQ(out.fy.size(), in.particles.size()) << what;
+  ASSERT_EQ(out.fz.size(), in.particles.size()) << what;
+  for (std::size_t i = 0; i < in.particles.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(out.fx[i]),
+              std::bit_cast<std::uint64_t>(want.fx[i]))
+        << what << ": fx of particle " << i;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(out.fy[i]),
+              std::bit_cast<std::uint64_t>(want.fy[i]))
+        << what << ": fy of particle " << i;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(out.fz[i]),
+              std::bit_cast<std::uint64_t>(want.fz[i]))
+        << what << ": fz of particle " << i;
+  }
+}
+
+TEST(Mol3dTest, ForcesMatchScalarReferenceOnRandomCells) {
+  // A random cell of the default box, its particles (sometimes none or a
+  // handful, sometimes clustered into overlap) and 0..31 ghosts per face
+  // drawn from the neighbouring cells, so both even and odd ghost totals
+  // and pairs across the periodic wrap occur.
+  const Mol3dConfig config;
+  const double box[3] = {static_cast<double>(config.cells_x),
+                         static_cast<double>(config.cells_y),
+                         static_cast<double>(config.cells_z)};
+  Mol3dForces out;
+  std::size_t odd_totals = 0;
+  std::size_t nonzero_forces = 0;
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    Rng rng{seed};
+    const double cell[3] = {
+        static_cast<double>(rng.uniform_int(0, config.cells_x - 1)),
+        static_cast<double>(rng.uniform_int(0, config.cells_y - 1)),
+        static_cast<double>(rng.uniform_int(0, config.cells_z - 1))};
+    const double spread = rng.next_double() < 0.2 ? 0.2 : 1.0;
+    ForceInput in;
+    const auto n = rng.uniform_int(0, 40);
+    for (std::int64_t i = 0; i < n; ++i)
+      in.add_particle(cell[0] + spread * rng.next_double(),
+                      cell[1] + spread * rng.next_double(),
+                      cell[2] + spread * rng.next_double());
+    std::size_t total = 0;
+    for (std::size_t side = 0; side < 6; ++side) {
+      const auto axis = side / 2;
+      const double shift = side % 2 == 0 ? -1.0 : 1.0;
+      const auto count = rng.uniform_int(0, 31);
+      total += static_cast<std::size_t>(count);
+      for (std::int64_t k = 0; k < count; ++k) {
+        double pos[3];
+        for (std::size_t a = 0; a < 3; ++a) {
+          double v = cell[a] + rng.next_double();
+          if (a == axis) v = std::fmod(v + shift + box[a], box[a]);
+          pos[a] = v;
+        }
+        in.add_ghost(side, pos[0], pos[1], pos[2]);
+      }
+    }
+    odd_totals += total % 2;
+    expect_forces_match_reference(in, config, out,
+                                  "seed " + std::to_string(seed));
+    for (const double f : out.fx) nonzero_forces += f != 0.0;
+  }
+  // The grid exercises what it claims to: padded ghost runs and real forces.
+  EXPECT_GT(odd_totals, 50u);
+  EXPECT_GT(nonzero_forces, 1000u);
+}
+
+TEST(Mol3dTest, ForcesMatchScalarReferenceOnEdgeCases) {
+  const Mol3dConfig config;
+  const double box[3] = {static_cast<double>(config.cells_x),
+                         static_cast<double>(config.cells_y),
+                         static_cast<double>(config.cells_z)};
+  const double rc = config.cutoff;
+  Mol3dForces out;
+  auto check = [&](const ForceInput& in, const std::string& what) {
+    expect_forces_match_reference(in, config, out, what);
+  };
+
+  ForceInput empty;
+  check(empty, "no particles, no ghosts");
+  ForceInput ghosts_only;
+  for (std::size_t side = 0; side < 6; ++side)
+    ghosts_only.add_ghost(side, 1.5, 1.5, 1.5);
+  check(ghosts_only, "no particles");
+
+  ForceInput one;
+  one.add_particle(1.5, 1.5, 1.5);
+  check(one, "one particle, no ghosts");
+  one.add_ghost(3, 1.6, 1.5, 1.5);
+  check(one, "one particle, one ghost (odd total)");
+  one.add_ghost(3, 1.5, 1.9, 1.5);
+  one.add_ghost(5, 1.5, 1.5, 2.2);
+  check(one, "one particle, ghosts on two faces only");
+
+  ForceInput two;
+  two.add_particle(1.2, 1.5, 1.5);
+  two.add_particle(1.7, 1.5, 1.5);
+  check(two, "two particles, no ghosts");
+  for (std::size_t side = 0; side < 6; ++side) {
+    two.add_ghost(side, 1.0 + 0.1 * static_cast<double>(side), 1.4, 1.6);
+    check(two, "two particles, ghost total " + std::to_string(side + 1));
+  }
+
+  // Pairs across the periodic wrap on each axis, in both directions.
+  for (std::size_t axis = 0; axis < 3; ++axis) {
+    ForceInput wrapped;
+    double p[3] = {0.5, 0.5, 0.5};
+    double g[3] = {0.5, 0.5, 0.5};
+    p[axis] = 0.05;
+    g[axis] = box[axis] - 0.1;
+    wrapped.add_particle(p[0], p[1], p[2]);
+    wrapped.add_ghost(axis * 2, g[0], g[1], g[2]);
+    p[axis] = box[axis] - 0.05;
+    g[axis] = 0.2;
+    wrapped.add_particle(p[0], p[1], p[2]);
+    wrapped.add_ghost(axis * 2 + 1, g[0], g[1], g[2]);
+    check(wrapped, "wrap on axis " + std::to_string(axis));
+  }
+
+  // Overlap: r² below r2_min (0.25·σ²), down to coincident points.
+  ForceInput overlap;
+  overlap.add_particle(1.5, 1.5, 1.5);
+  overlap.add_particle(1.5, 1.5, 1.5);
+  overlap.add_particle(1.52, 1.5, 1.5);
+  overlap.add_ghost(0, 1.5, 1.5, 1.5);
+  overlap.add_ghost(0, 1.5, 1.51, 1.5);
+  overlap.add_ghost(2, 1.5, 1.5, 1.49);
+  check(overlap, "r2 below r2_min");
+
+  // A pair exactly at the cutoff (excluded) and one just inside it, both
+  // among own particles and against ghosts.
+  ForceInput cutoff;
+  cutoff.add_particle(rc, 0.5, 0.5);
+  cutoff.add_particle(0.0, 0.5, 0.5);
+  cutoff.add_particle(rc, 1.5, 0.5);
+  cutoff.add_particle(0x1p-53, 1.5, 0.5);
+  cutoff.add_ghost(1, 0.0, 0.5, 0.5);
+  cutoff.add_ghost(1, 0x1p-53, 0.5, 0.5);
+  check(cutoff, "pairs at the cutoff");
+
+  // Signed zeros in coordinates and displacements.
+  ForceInput zeros;
+  zeros.add_particle(-0.0, 0.3, -0.0);
+  zeros.add_particle(0.0, -0.0, 0.3);
+  zeros.add_ghost(0, 0.0, 0.3, 0.0);
+  zeros.add_ghost(0, -0.0, 0.3, -0.0);
+  zeros.add_ghost(2, 0.1, -0.0, 0.3);
+  zeros.add_ghost(4, -0.0, -0.0, -0.0);
+  zeros.add_ghost(4, 0.0, 0.0, 0.0);
+  check(zeros, "signed zeros");
+
+  // Displacements at the minimum-image threshold (half a box) and one ulp
+  // either side of it, on every axis.
+  ForceInput half;
+  half.add_particle(0.0, 0.0, 0.0);
+  for (std::size_t axis = 0; axis < 3; ++axis)
+    for (const double d : {0.5 * box[axis], -0.5 * box[axis]})
+      for (const double h : {d, std::nextafter(d, 0.0), std::nextafter(d, 2 * d)}) {
+        double g[3] = {0.0, 0.0, 0.0};
+        g[axis] = -h;
+        half.add_ghost(axis * 2, g[0], g[1], g[2]);
+      }
+  check(half, "half-box displacements");
+
+  // A NaN coordinate poisons exactly the forces it poisoned before.
+  ForceInput nan;
+  nan.add_particle(1.5, 1.5, 1.5);
+  nan.add_particle(1.6, 1.5, 1.5);
+  nan.add_ghost(0, std::nan(""), 1.5, 1.5);
+  check(nan, "NaN ghost");
+}
+
+TEST(Mol3dTest, PeriodicWrapMatchesFmodAtEveryBranch) {
+  // One step of particles that feel no force (one per cell, a cell apart,
+  // beyond the cutoff) lands each at an exact dyadic x; the wrapped x must
+  // equal the fmod-based wrap bit for bit on both sides of every branch
+  // edge, including v = −box, where fmod gives −0.0.
+  Mol3dConfig config;
+  config.cells_x = config.cells_y = config.cells_z = 3;
+  config.iterations = 1;
+  config.dt = 0x1p-7;
+  const double box = 3.0;
+  const double targets[9] = {-3.5, -3.0, -2.75, -0.25, 0.5,
+                             2.75, 3.0, 5.5, 6.0};
+  AppRig rig{4};
+  for (int cz = 0; cz < 3; ++cz)
+    for (int cy = 0; cy < 3; ++cy)
+      for (int cx = 0; cx < 3; ++cx) {
+        std::vector<Particle> particles;
+        if (cx == 0) {
+          Particle p;
+          p.x = 0.5;
+          p.y = cy + 0.5;
+          p.z = cz + 0.5;
+          p.vx = (targets[cz * 3 + cy] - p.x) / config.dt;
+          particles.push_back(p);
+        }
+        const ChareId id = rig.job->add_chare(
+            std::make_unique<Mol3dChare>(config, cx, cy, cz, particles));
+        ASSERT_EQ(id, static_cast<ChareId>((cz * 3 + cy) * 3 + cx));
+      }
+  rig.run();
+  for (int i = 0; i < 9; ++i) {
+    auto* cell = dynamic_cast<Mol3dChare*>(
+        &rig.job->chare(static_cast<ChareId>(i * 3)));
+    ASSERT_NE(cell, nullptr);
+    ASSERT_EQ(cell->particles().size(), 1u);
+    const double v = std::fmod(targets[i], box);
+    const double want = v < 0 ? v + box : v;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(cell->particles()[0].x),
+              std::bit_cast<std::uint64_t>(want))
+        << "x = " << targets[i];
+    EXPECT_EQ(cell->particles()[0].y, i % 3 + 0.5);
+  }
+}
+
+TEST(Mol3dTest, DefaultRunEndStatePinned) {
+  // The default configuration's full run (forces, the integrator, the
+  // periodic wrap and leaver hand-off), hashed with FNV-1a over the bit
+  // patterns of every particle's six doubles in chare order. Any change to
+  // the numerics, however small, moves the digest.
+  const Mol3dConfig config;
+  ASSERT_EQ(config.iterations, 40);
+  AppRig rig{4};
+  populate_mol3d(*rig.job, config);
+  rig.run();
+  std::uint64_t digest = 1469598103934665603ull;
+  std::size_t total = 0;
+  for (std::size_t c = 0; c < rig.job->num_chares(); ++c) {
+    auto* cell =
+        dynamic_cast<Mol3dChare*>(&rig.job->chare(static_cast<ChareId>(c)));
+    ASSERT_NE(cell, nullptr);
+    for (const Particle& p : cell->particles()) {
+      for (const double v : {p.x, p.y, p.z, p.vx, p.vy, p.vz}) {
+        const auto word = std::bit_cast<std::uint64_t>(v);
+        for (int b = 0; b < 8; ++b) {
+          digest ^= (word >> (8 * b)) & 0xffu;
+          digest *= 1099511628211ull;
+        }
+      }
+      ++total;
+    }
+  }
+  EXPECT_EQ(total, static_cast<std::size_t>(config.num_particles));
+  EXPECT_EQ(digest, 0x52e35c6be857b841ull) << std::hex << digest;
 }
 
 // ------------------------------------------------------------- app factory

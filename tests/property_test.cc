@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <string>
 
 #include "apps/jacobi2d.h"
 #include "apps/wave2d.h"
@@ -41,10 +42,14 @@ TEST_P(CorePropertyTest, WorkConservationUnderRandomLoad) {
     int completions = 0;
   };
   std::vector<Ctx> contexts;
-  for (int c = 0; c < num_contexts; ++c)
+  for (int c = 0; c < num_contexts; ++c) {
+    // Built with += rather than "c" + std::to_string(c): GCC 12 at -O3
+    // reports a false -Werror=restrict on the latter.
+    std::string name = "c";
+    name += std::to_string(c);
     contexts.push_back(
-        Ctx{core.register_context("c" + std::to_string(c),
-                                  rng.uniform(0.5, 4.0))});
+        Ctx{core.register_context(name, rng.uniform(0.5, 4.0))});
+  }
 
   // Random demand chains with random gaps, all scheduled up front.
   int outstanding = 0;
