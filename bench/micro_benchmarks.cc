@@ -8,7 +8,9 @@
 #include <array>
 #include <numeric>
 
+#include "apps/jacobi2d.h"
 #include "apps/mol3d.h"
+#include "apps/wave2d.h"
 #include "core/background_estimator.h"
 #include "core/interference_aware_lb.h"
 #include "core/scenario.h"
@@ -18,6 +20,7 @@
 #include "sim/simulator.h"
 #include "support/mol3d_reference_forces.h"
 #include "support/refinement_naive.h"
+#include "support/stencil_reference.h"
 #include "util/rng.h"
 
 namespace cloudlb {
@@ -257,6 +260,95 @@ void BM_Mol3dForcesReference(benchmark::State& state) {
   BM_Mol3dKernel<mol3d_reference_forces>(state);
 }
 BENCHMARK(BM_Mol3dForcesReference)->Unit(benchmark::kMicrosecond);
+
+// ------------------------------------------------------- stencil kernels
+//
+// One block update per iteration, cycling over the blocks of the default
+// layout (256 × 256 points in 32 × 16 blocks of 8 × 16, the Fig. 2 cell's
+// decomposition) with their initial values and every neighbour's edge as
+// ghosts.
+
+struct StencilBench {
+  std::vector<StencilBlock> blocks;
+  std::vector<std::vector<double>> values;
+  std::vector<StencilGhosts> ghosts;
+};
+
+StencilBench stencil_default_blocks() {
+  const StencilLayout l;
+  StencilBench bench;
+  for (int by = 0; by < l.blocks_y; ++by)
+    for (int bx = 0; bx < l.blocks_x; ++bx) {
+      const StencilBlock b = l.block(bx, by);
+      const auto at = [&](int gx, int gy) {
+        return stencil_initial_value(gx, gy, l.grid_x, l.grid_y);
+      };
+      std::vector<double> v;
+      for (int gy = b.y0; gy < b.y0 + b.ny; ++gy)
+        for (int gx = b.x0; gx < b.x0 + b.nx; ++gx) v.push_back(at(gx, gy));
+      StencilGhosts g;
+      for (int gy = b.y0; gy < b.y0 + b.ny; ++gy) {
+        if (b.x0 > 0) g[kWest].push_back(at(b.x0 - 1, gy));
+        if (b.x0 + b.nx < l.grid_x) g[kEast].push_back(at(b.x0 + b.nx, gy));
+      }
+      for (int gx = b.x0; gx < b.x0 + b.nx; ++gx) {
+        if (b.y0 > 0) g[kNorth].push_back(at(gx, b.y0 - 1));
+        if (b.y0 + b.ny < l.grid_y) g[kSouth].push_back(at(gx, b.y0 + b.ny));
+      }
+      bench.blocks.push_back(b);
+      bench.values.push_back(std::move(v));
+      bench.ghosts.push_back(std::move(g));
+    }
+  return bench;
+}
+
+template <auto Sweep>
+void BM_JacobiKernel(benchmark::State& state) {
+  const StencilBench bench = stencil_default_blocks();
+  std::vector<double> out;
+  std::size_t c = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        Sweep(bench.blocks[c], bench.values[c], bench.ghosts[c], out));
+    benchmark::ClobberMemory();
+    c = c + 1 == bench.blocks.size() ? 0 : c + 1;
+  }
+}
+
+void BM_Jacobi2dSweep(benchmark::State& state) {
+  BM_JacobiKernel<jacobi2d_sweep>(state);
+}
+BENCHMARK(BM_Jacobi2dSweep)->Unit(benchmark::kNanosecond);
+
+// The retained per-point loop the kernel must match bit for bit.
+void BM_Jacobi2dSweepReference(benchmark::State& state) {
+  BM_JacobiKernel<jacobi2d_reference_sweep>(state);
+}
+BENCHMARK(BM_Jacobi2dSweepReference)->Unit(benchmark::kNanosecond);
+
+template <auto Step>
+void BM_WaveKernel(benchmark::State& state) {
+  const StencilBench bench = stencil_default_blocks();
+  std::vector<double> out;
+  std::size_t c = 0;
+  for (auto _ : state) {
+    Step(bench.blocks[c], 0.25, bench.values[c], bench.values[c],
+         bench.ghosts[c], out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+    c = c + 1 == bench.blocks.size() ? 0 : c + 1;
+  }
+}
+
+void BM_Wave2dStep(benchmark::State& state) {
+  BM_WaveKernel<wave2d_step>(state);
+}
+BENCHMARK(BM_Wave2dStep)->Unit(benchmark::kNanosecond);
+
+void BM_Wave2dStepReference(benchmark::State& state) {
+  BM_WaveKernel<wave2d_reference_step>(state);
+}
+BENCHMARK(BM_Wave2dStepReference)->Unit(benchmark::kNanosecond);
 
 // ---------------------------------------------------------- LB decisions
 

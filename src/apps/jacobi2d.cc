@@ -8,84 +8,40 @@ namespace cloudlb {
 
 Jacobi2dChare::Jacobi2dChare(const Jacobi2dConfig& config, int bx, int by)
     : StencilBlockChare(config.layout, bx, by) {
-  u_.resize(static_cast<std::size_t>(nx()) * static_cast<std::size_t>(ny()));
-  scratch_ = u_;
+  u_.reserve(block().points());
   for (int gy = y0(); gy < y0() + ny(); ++gy)
     for (int gx = x0(); gx < x0() + nx(); ++gx)
-      at(gx, gy) = stencil_initial_value(gx, gy, layout().grid_x,
-                                         layout().grid_y);
-}
-
-double& Jacobi2dChare::at(int gx, int gy) {
-  return u_[static_cast<std::size_t>(gy - y0()) *
-                static_cast<std::size_t>(nx()) +
-            static_cast<std::size_t>(gx - x0())];
-}
-
-double Jacobi2dChare::at(int gx, int gy) const {
-  return u_[static_cast<std::size_t>(gy - y0()) *
-                static_cast<std::size_t>(nx()) +
-            static_cast<std::size_t>(gx - x0())];
+      u_.push_back(stencil_initial_value(gx, gy, layout().grid_x,
+                                         layout().grid_y));
+  scratch_ = u_;
 }
 
 std::vector<double> Jacobi2dChare::block_values() const { return u_; }
 
-std::vector<double> Jacobi2dChare::edge_values(Side side) const {
-  std::vector<double> out;
-  switch (side) {
-    case kWest:
-      out.reserve(static_cast<std::size_t>(ny()));
-      for (int gy = y0(); gy < y0() + ny(); ++gy) out.push_back(at(x0(), gy));
-      break;
-    case kEast:
-      out.reserve(static_cast<std::size_t>(ny()));
-      for (int gy = y0(); gy < y0() + ny(); ++gy)
-        out.push_back(at(x0() + nx() - 1, gy));
-      break;
-    case kNorth:
-      out.reserve(static_cast<std::size_t>(nx()));
-      for (int gx = x0(); gx < x0() + nx(); ++gx) out.push_back(at(gx, y0()));
-      break;
-    case kSouth:
-      out.reserve(static_cast<std::size_t>(nx()));
-      for (int gx = x0(); gx < x0() + nx(); ++gx)
-        out.push_back(at(gx, y0() + ny() - 1));
-      break;
-  }
-  return out;
+void Jacobi2dChare::append_edge(Side side, std::vector<double>& out) const {
+  append_edge_of(u_, side, out);
 }
 
-void Jacobi2dChare::apply_update(
-    const std::array<std::vector<double>, 4>& ghosts) {
-  const int gx_max = layout().grid_x - 1;
-  const int gy_max = layout().grid_y - 1;
-  auto value = [&](int gx, int gy) -> double {
-    if (gx < x0()) return ghosts[kWest][static_cast<std::size_t>(gy - y0())];
-    if (gx >= x0() + nx())
-      return ghosts[kEast][static_cast<std::size_t>(gy - y0())];
-    if (gy < y0()) return ghosts[kNorth][static_cast<std::size_t>(gx - x0())];
-    if (gy >= y0() + ny())
-      return ghosts[kSouth][static_cast<std::size_t>(gx - x0())];
-    return at(gx, gy);
-  };
-
-  double residual = 0.0;
-  for (int gy = y0(); gy < y0() + ny(); ++gy) {
-    for (int gx = x0(); gx < x0() + nx(); ++gx) {
-      const std::size_t idx =
-          static_cast<std::size_t>(gy - y0()) * static_cast<std::size_t>(nx()) +
-          static_cast<std::size_t>(gx - x0());
-      if (gx == 0 || gx == gx_max || gy == 0 || gy == gy_max) {
-        scratch_[idx] = at(gx, gy);  // Dirichlet boundary: held fixed
-      } else {
-        scratch_[idx] = 0.25 * (value(gx - 1, gy) + value(gx + 1, gy) +
-                                value(gx, gy - 1) + value(gx, gy + 1));
-        residual += std::abs(scratch_[idx] - u_[idx]);
-      }
-    }
-  }
-  residual_ = residual;
+void Jacobi2dChare::apply_update(const StencilGhosts& ghosts) {
+  residual_ = jacobi2d_sweep(block(), u_, ghosts, scratch_);
   u_.swap(scratch_);
+}
+
+double jacobi2d_sweep(const StencilBlock& b, const std::vector<double>& u,
+                      const StencilGhosts& ghosts, std::vector<double>& out) {
+  CLB_CHECK(u.size() == b.points());
+  out.resize(b.points());
+  const double* in = u.data();
+  double* next = out.data();
+  double residual = 0.0;
+  stencil_sweep(
+      b, in, ghosts,
+      [&](std::size_t k, double w, double e, double n, double s) {
+        next[k] = 0.25 * (w + e + n + s);
+        residual += std::abs(next[k] - in[k]);
+      },
+      [&](std::size_t k) { next[k] = in[k]; });  // Dirichlet: held fixed
+  return residual;
 }
 
 void populate_jacobi2d(RuntimeJob& job, const Jacobi2dConfig& config) {

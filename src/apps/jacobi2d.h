@@ -28,16 +28,22 @@ class Jacobi2dChare final : public StencilBlockChare {
   double local_residual() const override { return residual_; }
 
  protected:
-  std::vector<double> edge_values(Side side) const override;
-  void apply_update(const std::array<std::vector<double>, 4>& ghosts) override;
+  void append_edge(Side side, std::vector<double>& out) const override;
+  void apply_update(const StencilGhosts& ghosts) override;
 
  private:
-  double& at(int gx, int gy);
-  double at(int gx, int gy) const;
-
   double residual_ = 0.0;
   std::vector<double> u_, scratch_;
 };
+
+/// One Jacobi sweep of block `b`: writes u's relaxed values to `out`
+/// (both row-major, b.points() long), each interior point as
+/// 0.25·(((W + E) + N) + S) and each global-boundary point unchanged.
+/// Returns the L1 change Σ|out − u| over the interior points, summed in
+/// row-major order. Bit-identical to the per-point reference loop
+/// (tests/support/stencil_reference.h).
+double jacobi2d_sweep(const StencilBlock& b, const std::vector<double>& u,
+                      const StencilGhosts& ghosts, std::vector<double>& out);
 
 /// Adds one Jacobi2dChare per block to `job`, in row-major block order.
 void populate_jacobi2d(RuntimeJob& job, const Jacobi2dConfig& config);

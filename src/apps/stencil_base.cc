@@ -1,6 +1,7 @@
 #include "apps/stencil_base.h"
 
 #include <cmath>
+#include <utility>
 
 #include "runtime/job.h"
 #include "util/check.h"
@@ -18,6 +19,19 @@ void StencilLayout::validate() const {
   CLB_CHECK(residual_tolerance >= 0.0);
 }
 
+StencilBlock StencilLayout::block(int bx, int by) const {
+  CLB_CHECK(bx >= 0 && bx < blocks_x);
+  CLB_CHECK(by >= 0 && by < blocks_y);
+  StencilBlock b;
+  b.grid_x = grid_x;
+  b.grid_y = grid_y;
+  b.x0 = bx * grid_x / blocks_x;
+  b.y0 = by * grid_y / blocks_y;
+  b.nx = (bx + 1) * grid_x / blocks_x - b.x0;
+  b.ny = (by + 1) * grid_y / blocks_y - b.y0;
+  return b;
+}
+
 double stencil_initial_value(int i, int j, int grid_x, int grid_y) {
   const double pi = 3.14159265358979323846;
   const double x = static_cast<double>(i) / (grid_x - 1);
@@ -31,15 +45,11 @@ double stencil_initial_value(int i, int j, int grid_x, int grid_y) {
 
 StencilBlockChare::StencilBlockChare(const StencilLayout& layout, int bx,
                                      int by)
-    : layout_{layout}, bx_{bx}, by_{by} {
+    : layout_{layout} {
   layout_.validate();
-  CLB_CHECK(bx >= 0 && bx < layout.blocks_x);
-  CLB_CHECK(by >= 0 && by < layout.blocks_y);
-  x0_ = bx * layout.grid_x / layout.blocks_x;
-  x1_ = (bx + 1) * layout.grid_x / layout.blocks_x;
-  y0_ = by * layout.grid_y / layout.blocks_y;
-  y1_ = (by + 1) * layout.grid_y / layout.blocks_y;
-  CLB_CHECK_MSG(x1_ > x0_ && y1_ > y0_, "empty block — too many blocks");
+  block_ = layout_.block(bx, by);
+  CLB_CHECK_MSG(block_.nx > 0 && block_.ny > 0,
+                "empty block — too many blocks");
 
   const auto block_id = [&](int x, int y) -> ChareId {
     return static_cast<ChareId>(y * layout_.blocks_x + x);
@@ -65,17 +75,39 @@ void StencilBlockChare::on_start() { send_ghosts(); }
 
 void StencilBlockChare::on_resume_sync() { send_ghosts(); }
 
+void StencilBlockChare::append_edge_of(const std::vector<double>& values,
+                                       Side side,
+                                       std::vector<double>& out) const {
+  const auto w = static_cast<std::size_t>(nx());
+  const auto h = static_cast<std::size_t>(ny());
+  const double* v = values.data();
+  switch (side) {
+    case kWest:
+      for (std::size_t j = 0; j < h; ++j) out.push_back(v[j * w]);
+      break;
+    case kEast:
+      for (std::size_t j = 0; j < h; ++j) out.push_back(v[j * w + w - 1]);
+      break;
+    case kNorth:
+      out.insert(out.end(), v, v + w);
+      break;
+    case kSouth:
+      out.insert(out.end(), v + (h - 1) * w, v + h * w);
+      break;
+  }
+}
+
 void StencilBlockChare::send_ghosts() {
   static constexpr Side kOpposite[4] = {kEast, kWest, kSouth, kNorth};
   for (int side = 0; side < 4; ++side) {
     const ChareId dest = neighbor_[static_cast<std::size_t>(side)];
     if (dest == -1) continue;
-    std::vector<double> payload;
-    const std::vector<double> edge = edge_values(static_cast<Side>(side));
-    payload.reserve(edge.size() + 2);
+    const int edge_len = side == kWest || side == kEast ? ny() : nx();
+    std::vector<double> payload = new_payload();
+    payload.reserve(static_cast<std::size_t>(edge_len) + 2);
     payload.push_back(static_cast<double>(iter_));
     payload.push_back(static_cast<double>(kOpposite[side]));
-    payload.insert(payload.end(), edge.begin(), edge.end());
+    append_edge(static_cast<Side>(side), payload);
     send(dest, kTagGhost, std::move(payload));
   }
   maybe_trigger_compute();  // blocks with zero neighbours (1-block layouts)
@@ -99,27 +131,52 @@ SimTime StencilBlockChare::cost(const Message& msg) const {
 
 void StencilBlockChare::execute(const Message& msg) {
   if (msg.tag == kTagGhost) {
-    CLB_CHECK(msg.data.size() >= 2);
-    const int iter = static_cast<int>(msg.data[0]);
-    const auto side = static_cast<std::size_t>(msg.data[1]);
-    CLB_CHECK(side < 4);
+    CLB_CHECK_MSG(msg.data.size() >= 2,
+                  "ghost message (tag " << msg.tag << ") carries "
+                                        << msg.data.size()
+                                        << " values, want at least 2");
+    // Both header values are range-checked as doubles: converting a NaN
+    // or out-of-range value to an integer type is undefined behaviour.
+    const double iter_value = msg.data[0];
+    const double side_value = msg.data[1];
+    CLB_CHECK_MSG(side_value >= 0.0 && side_value < 4.0,
+                  "ghost message (tag " << msg.tag << ") names side "
+                                        << side_value << ", want 0..3");
     // A neighbour can be at most one iteration ahead of us.
-    CLB_CHECK_MSG(iter == iter_ || iter == iter_ + 1,
-                  "ghost for iteration " << iter << " while at " << iter_);
-    auto& slot = ghosts_[iter][side];
-    CLB_CHECK_MSG(slot.empty(), "duplicate ghost for side " << side);
-    slot.assign(msg.data.begin() + 2, msg.data.end());
-    ++ghost_count_[iter];
+    CLB_CHECK_MSG(iter_value == iter_ || iter_value == iter_ + 1,
+                  "ghost for iteration " << iter_value << " while at "
+                                         << iter_);
+    const int iter = static_cast<int>(iter_value);
+    const auto side = static_cast<std::size_t>(side_value);
+    GhostSlot& slot = ghost_slot(iter);
+    CLB_CHECK_MSG(!slot.have[side], "duplicate ghost for side " << side);
+    std::vector<double>& edge = slot.edges[side];
+    edge = new_payload();
+    edge.assign(msg.data.begin() + 2, msg.data.end());
+    slot.have[side] = true;
+    ++slot.count;
     maybe_trigger_compute();
     return;
   }
 
   CLB_CHECK(msg.tag == kTagCompute);
-  CLB_CHECK(static_cast<int>(msg.data[0]) == iter_);
+  CLB_CHECK_MSG(msg.data.size() == 1,
+                "compute message (tag " << msg.tag << ") carries "
+                                        << msg.data.size()
+                                        << " values, want 1");
+  CLB_CHECK_MSG(msg.data[0] == iter_, "compute message (tag "
+                                          << msg.tag << ") for iteration "
+                                          << msg.data[0] << " while at "
+                                          << iter_);
   compute_pending_ = false;
-  apply_update(ghosts_[iter_]);
-  ghosts_.erase(iter_);
-  ghost_count_.erase(iter_);
+  GhostSlot& slot = ghost_slot(iter_);
+  apply_update(slot.edges);
+  // The edge buffers go back to the PE's recycled payloads rather than
+  // stay with the chare, so idle blocks hold no ghost storage.
+  for (std::vector<double>& edge : slot.edges)
+    recycle_payload(std::exchange(edge, {}));
+  slot.have = {};
+  slot.count = 0;
 
   report_iteration(iter_);
   ++iter_;
@@ -157,11 +214,11 @@ void StencilBlockChare::proceed_to_next_iteration() {
 
 void StencilBlockChare::maybe_trigger_compute() {
   if (compute_pending_) return;
-  auto it = ghost_count_.find(iter_);
-  const int have = it == ghost_count_.end() ? 0 : it->second;
-  if (have == expected_ghosts_) {
+  if (ghost_slot(iter_).count == expected_ghosts_) {
     compute_pending_ = true;
-    send(id(), kTagCompute, {static_cast<double>(iter_)});
+    std::vector<double> payload = new_payload();
+    payload.push_back(static_cast<double>(iter_));
+    send(id(), kTagCompute, std::move(payload));
   }
 }
 

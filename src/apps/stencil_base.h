@@ -1,10 +1,11 @@
 #pragma once
 
 #include <array>
-#include <map>
+#include <cstddef>
 #include <vector>
 
 #include "runtime/chare.h"
+#include "util/check.h"
 
 namespace cloudlb {
 
@@ -12,6 +13,21 @@ namespace cloudlb {
 enum StencilTag : int {
   kTagGhost = 1,    ///< boundary values from a neighbour
   kTagCompute = 2,  ///< self-message triggering the iteration's update
+};
+
+/// Where a block sits in the global grid: it owns columns [x0, x0+nx) and
+/// rows [y0, y0+ny) of a grid_x × grid_y grid, stored row-major.
+struct StencilBlock {
+  int grid_x = 0;
+  int grid_y = 0;
+  int x0 = 0;
+  int y0 = 0;
+  int nx = 0;
+  int ny = 0;
+
+  std::size_t points() const {
+    return static_cast<std::size_t>(nx) * static_cast<std::size_t>(ny);
+  }
 };
 
 /// Geometry and cost model shared by the 2D stencil applications.
@@ -39,7 +55,74 @@ struct StencilLayout {
 
   int num_blocks() const { return blocks_x * blocks_y; }
   void validate() const;
+
+  /// Geometry of block (bx, by): the blocks split each axis as evenly as
+  /// integer division allows.
+  StencilBlock block(int bx, int by) const;
 };
+
+/// Sides index ghosts and neighbours: 0=west 1=east 2=north 3=south.
+enum StencilSide { kWest = 0, kEast = 1, kNorth = 2, kSouth = 3 };
+
+/// One block's neighbour edges, indexed by StencilSide: west/east hold
+/// one value per owned row, north/south one per owned column, and a side
+/// on the global boundary is empty.
+using StencilGhosts = std::array<std::vector<double>, 4>;
+
+/// The row-wise sweep shared by the stencil kernels. Visits every owned
+/// point once, in row-major order: `fixed(k)` for points on the global
+/// boundary, `interior(k, w, e, n, s)` for the rest, with k the point's
+/// row-major index and w, e, n, s its four neighbours' values in `u` or
+/// in the ghosts. Boundary rows and columns, and the ghost columns, are
+/// peeled out of the inner loop, which reads the rows above and below
+/// through plain pointers (the north or south ghost at the block edge).
+template <typename Interior, typename Fixed>
+void stencil_sweep(const StencilBlock& b, const double* u,
+                   const StencilGhosts& ghosts, Interior&& interior,
+                   Fixed&& fixed) {
+  const int w = b.nx;
+  const auto edge_ok = [&](StencilSide side, bool inner, int n) {
+    return !inner ||
+           ghosts[side].size() == static_cast<std::size_t>(n);
+  };
+  CLB_CHECK_MSG(edge_ok(kWest, b.x0 > 0, b.ny) &&
+                    edge_ok(kEast, b.x0 + w < b.grid_x, b.ny) &&
+                    edge_ok(kNorth, b.y0 > 0, w) &&
+                    edge_ok(kSouth, b.y0 + b.ny < b.grid_y, w),
+                "stencil ghost edge of the wrong length");
+  // Columns [lo, hi) of an inner row are interior points.
+  const int lo = b.x0 == 0 ? 1 : 0;
+  const int hi = b.x0 + w == b.grid_x ? w - 1 : w;
+  const double* west = ghosts[kWest].data();
+  const double* east = ghosts[kEast].data();
+  for (int j = 0; j < b.ny; ++j) {
+    const auto row = static_cast<std::size_t>(j) * static_cast<std::size_t>(w);
+    const int gy = b.y0 + j;
+    if (gy == 0 || gy == b.grid_y - 1) {
+      for (int i = 0; i < w; ++i) fixed(row + static_cast<std::size_t>(i));
+      continue;
+    }
+    const double* c = u + row;
+    const double* n = j > 0 ? c - w : ghosts[kNorth].data();
+    const double* s = j < b.ny - 1 ? c + w : ghosts[kSouth].data();
+    if (lo == 1) fixed(row);
+    int i = lo;
+    if (i == 0 && hi > 0) {  // west ghost column
+      interior(row, west[j], w > 1 ? c[1] : east[j], n[0], s[0]);
+      i = 1;
+    }
+    const int inner_end = hi < w - 1 ? hi : w - 1;
+    for (; i < inner_end; ++i) {
+      const auto ii = static_cast<std::size_t>(i);
+      interior(row + ii, c[ii - 1], c[ii + 1], n[ii], s[ii]);
+    }
+    if (i < hi) {  // east ghost column: i == w - 1 > 0
+      const auto ii = static_cast<std::size_t>(i);
+      interior(row + ii, c[ii - 1], east[j], n[ii], s[ii]);
+    }
+    if (hi == w - 1) fixed(row + static_cast<std::size_t>(w - 1));
+  }
+}
 
 /// Base chare for 2D block-decomposed iterative stencil codes.
 ///
@@ -47,11 +130,10 @@ struct StencilLayout {
 /// ghost buffering (a neighbour may run one iteration ahead), the compute
 /// self-message, iteration accounting, AtSync every job().lb_period()
 /// iterations and finish() — leaving derived classes only the numerics:
-/// `edge_values()` (what to send) and `apply_update()` (how to relax).
+/// `append_edge()` (what to send) and `apply_update()` (how to relax).
 class StencilBlockChare : public Chare {
  public:
-  /// Sides index ghosts and neighbours: 0=west 1=east 2=north 3=south.
-  enum Side { kWest = 0, kEast = 1, kNorth = 2, kSouth = 3 };
+  using Side = StencilSide;
 
   StencilBlockChare(const StencilLayout& layout, int bx, int by);
 
@@ -63,22 +145,28 @@ class StencilBlockChare : public Chare {
   std::size_t footprint_bytes() const override;
 
   // Geometry accessors (owned region, halo excluded).
-  int x0() const { return x0_; }
-  int y0() const { return y0_; }
-  int nx() const { return x1_ - x0_; }
-  int ny() const { return y1_ - y0_; }
+  int x0() const { return block_.x0; }
+  int y0() const { return block_.y0; }
+  int nx() const { return block_.nx; }
+  int ny() const { return block_.ny; }
   int iteration() const { return iter_; }
   const StencilLayout& layout() const { return layout_; }
+  const StencilBlock& block() const { return block_; }
 
  protected:
-  /// Values along `side` of the owned region, innermost first:
-  /// west/east sides return ny() values (one per row), north/south nx().
-  virtual std::vector<double> edge_values(Side side) const = 0;
+  /// Appends the values along `side` of the owned region to `out`:
+  /// ny() values (one per row, top to bottom) for west/east, nx() (left
+  /// to right) for north/south.
+  virtual void append_edge(Side side, std::vector<double>& out) const = 0;
+
+  /// append_edge for a block whose current values are `values`
+  /// (row-major, nx() × ny()).
+  void append_edge_of(const std::vector<double>& values, Side side,
+                      std::vector<double>& out) const;
 
   /// Applies one stencil update; `ghosts[side]` is the neighbour's edge
   /// (empty when the block touches the global boundary on that side).
-  virtual void apply_update(
-      const std::array<std::vector<double>, 4>& ghosts) = 0;
+  virtual void apply_update(const StencilGhosts& ghosts) = 0;
 
   /// Bytes of numerical state, used for migration cost. Defaults to one
   /// grid of doubles; Wave2D overrides (two time levels).
@@ -89,21 +177,33 @@ class StencilBlockChare : public Chare {
   virtual double local_residual() const { return 0.0; }
 
  private:
+  /// Ghosts of one iteration: the edges, which sides have arrived, and
+  /// how many.
+  struct GhostSlot {
+    StencilGhosts edges;
+    std::array<bool, 4> have{};
+    int count = 0;
+  };
+
   void send_ghosts();
   void maybe_trigger_compute();
   void proceed_to_next_iteration();
+  GhostSlot& ghost_slot(int iter) {
+    return ghosts_[static_cast<std::size_t>(iter & 1)];
+  }
 
   StencilLayout layout_;
-  int bx_, by_;
-  int x0_, x1_, y0_, y1_;
+  StencilBlock block_;
   std::array<ChareId, 4> neighbor_;  ///< -1 where the global boundary is
   int expected_ghosts_ = 0;
   int iter_ = 0;
   bool compute_pending_ = false;
   bool awaiting_reduction_ = false;
-  /// Ghosts buffered per iteration (at most two iterations deep in flight).
-  std::map<int, std::array<std::vector<double>, 4>> ghosts_;
-  std::map<int, int> ghost_count_;
+  /// Ghosts of iterations iter_ and iter_ + 1 (a neighbour runs at most
+  /// one iteration ahead), in slot iter & 1. The edge buffers come from
+  /// the PE's recycled payloads and go back after the update, so a warm
+  /// block receives ghosts without allocating.
+  std::array<GhostSlot, 2> ghosts_;
 };
 
 /// Deterministic initial condition used by the stencil apps and their

@@ -8,81 +8,47 @@ Wave2dChare::Wave2dChare(const Wave2dConfig& config, int bx, int by)
     : StencilBlockChare(config.layout, bx, by),
       c2_{config.courant * config.courant} {
   CLB_CHECK(config.courant > 0.0 && config.courant < 0.7071);
-  const auto n =
-      static_cast<std::size_t>(nx()) * static_cast<std::size_t>(ny());
-  u_cur_.resize(n);
+  u_cur_.reserve(block().points());
   for (int gy = y0(); gy < y0() + ny(); ++gy)
     for (int gx = x0(); gx < x0() + nx(); ++gx)
-      u_cur_[index(gx, gy)] = stencil_initial_value(gx, gy, layout().grid_x,
-                                                    layout().grid_y);
+      u_cur_.push_back(stencil_initial_value(gx, gy, layout().grid_x,
+                                             layout().grid_y));
   u_prev_ = u_cur_;  // zero initial velocity
   scratch_ = u_cur_;
 }
 
-std::size_t Wave2dChare::index(int gx, int gy) const {
-  return static_cast<std::size_t>(gy - y0()) * static_cast<std::size_t>(nx()) +
-         static_cast<std::size_t>(gx - x0());
-}
-
-double Wave2dChare::cur(int gx, int gy) const { return u_cur_[index(gx, gy)]; }
-
 std::size_t Wave2dChare::state_bytes() const {
-  return 2 * static_cast<std::size_t>(nx()) * static_cast<std::size_t>(ny()) *
-         sizeof(double);
+  return 2 * block().points() * sizeof(double);
 }
 
 std::vector<double> Wave2dChare::block_values() const { return u_cur_; }
 
-std::vector<double> Wave2dChare::edge_values(Side side) const {
-  std::vector<double> out;
-  switch (side) {
-    case kWest:
-      for (int gy = y0(); gy < y0() + ny(); ++gy) out.push_back(cur(x0(), gy));
-      break;
-    case kEast:
-      for (int gy = y0(); gy < y0() + ny(); ++gy)
-        out.push_back(cur(x0() + nx() - 1, gy));
-      break;
-    case kNorth:
-      for (int gx = x0(); gx < x0() + nx(); ++gx) out.push_back(cur(gx, y0()));
-      break;
-    case kSouth:
-      for (int gx = x0(); gx < x0() + nx(); ++gx)
-        out.push_back(cur(gx, y0() + ny() - 1));
-      break;
-  }
-  return out;
+void Wave2dChare::append_edge(Side side, std::vector<double>& out) const {
+  append_edge_of(u_cur_, side, out);
 }
 
-void Wave2dChare::apply_update(
-    const std::array<std::vector<double>, 4>& ghosts) {
-  const int gx_max = layout().grid_x - 1;
-  const int gy_max = layout().grid_y - 1;
-  auto value = [&](int gx, int gy) -> double {
-    if (gx < x0()) return ghosts[kWest][static_cast<std::size_t>(gy - y0())];
-    if (gx >= x0() + nx())
-      return ghosts[kEast][static_cast<std::size_t>(gy - y0())];
-    if (gy < y0()) return ghosts[kNorth][static_cast<std::size_t>(gx - x0())];
-    if (gy >= y0() + ny())
-      return ghosts[kSouth][static_cast<std::size_t>(gx - x0())];
-    return cur(gx, gy);
-  };
-
-  for (int gy = y0(); gy < y0() + ny(); ++gy) {
-    for (int gx = x0(); gx < x0() + nx(); ++gx) {
-      const std::size_t i = index(gx, gy);
-      if (gx == 0 || gx == gx_max || gy == 0 || gy == gy_max) {
-        scratch_[i] = 0.0;  // clamped membrane edge
-      } else {
-        const double lap = value(gx - 1, gy) + value(gx + 1, gy) +
-                           value(gx, gy - 1) + value(gx, gy + 1) -
-                           4.0 * cur(gx, gy);
-        scratch_[i] = 2.0 * cur(gx, gy) - u_prev_[i] + c2_ * lap;
-      }
-    }
-  }
+void Wave2dChare::apply_update(const StencilGhosts& ghosts) {
+  wave2d_step(block(), c2_, u_prev_, u_cur_, ghosts, scratch_);
   u_prev_.swap(u_cur_);
   u_cur_.swap(scratch_);
+}
+
+void wave2d_step(const StencilBlock& b, double c2,
+                 const std::vector<double>& prev,
+                 const std::vector<double>& cur, const StencilGhosts& ghosts,
+                 std::vector<double>& next) {
+  CLB_CHECK(prev.size() == b.points() && cur.size() == b.points());
+  next.resize(b.points());
+  const double* p = prev.data();
+  const double* u = cur.data();
+  double* out = next.data();
+  stencil_sweep(
+      b, u, ghosts,
+      [&](std::size_t k, double w, double e, double n, double s) {
+        const double lap = w + e + n + s - 4.0 * u[k];
+        out[k] = 2.0 * u[k] - p[k] + c2 * lap;
+      },
+      [&](std::size_t k) { out[k] = 0.0; });  // clamped membrane edge
 }
 
 void populate_wave2d(RuntimeJob& job, const Wave2dConfig& config) {

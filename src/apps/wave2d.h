@@ -27,17 +27,24 @@ class Wave2dChare final : public StencilBlockChare {
   std::vector<double> block_values() const;
 
  protected:
-  std::vector<double> edge_values(Side side) const override;
-  void apply_update(const std::array<std::vector<double>, 4>& ghosts) override;
+  void append_edge(Side side, std::vector<double>& out) const override;
+  void apply_update(const StencilGhosts& ghosts) override;
   std::size_t state_bytes() const override;
 
  private:
-  double cur(int gx, int gy) const;
-  std::size_t index(int gx, int gy) const;
-
   double c2_;  ///< Courant number squared
   std::vector<double> u_prev_, u_cur_, scratch_;
 };
+
+/// One leapfrog step of block `b`: writes the next time level to `next`
+/// (all three row-major, b.points() long), each interior point as
+/// (2c − p) + c2·((((W + E) + N) + S) − 4c) with c and p its `cur` and
+/// `prev` values, and each global-boundary point as 0. Bit-identical to
+/// the per-point reference loop (tests/support/stencil_reference.h).
+void wave2d_step(const StencilBlock& b, double c2,
+                 const std::vector<double>& prev,
+                 const std::vector<double>& cur, const StencilGhosts& ghosts,
+                 std::vector<double>& next);
 
 /// Adds one Wave2dChare per block to `job`, in row-major block order.
 void populate_wave2d(RuntimeJob& job, const Wave2dConfig& config);

@@ -39,23 +39,35 @@ const std::string& Core::context_name(ContextId ctx) const {
 }
 
 void Core::demand(ContextId ctx, SimTime cpu_time,
-                  std::function<void()> on_complete) {
+                  EngineCore::Callback on_complete) {
   CLB_CHECK(ctx >= 0 && static_cast<std::size_t>(ctx) < contexts_.size());
   CLB_CHECK(!cpu_time.is_negative());
   CLB_CHECK(on_complete != nullptr);
-  CLB_CHECK_MSG(!active_.contains(ctx),
+  CLB_CHECK_MSG(find_active(ctx) == nullptr,
                 "context " << context_name(ctx) << " already has a demand");
   advance_to_now();
-  active_.emplace(ctx, Request{cpu_time.to_seconds(), std::move(on_complete)});
+  const auto pos = std::lower_bound(
+      active_.begin(), active_.end(), ctx,
+      [](const Request& r, ContextId c) { return r.ctx < c; });
+  active_.insert(pos,
+                 Request{ctx, cpu_time.to_seconds(), std::move(on_complete)});
   complete_and_reschedule();
 }
 
-bool Core::has_demand(ContextId ctx) const { return active_.contains(ctx); }
+bool Core::has_demand(ContextId ctx) const {
+  return find_active(ctx) != nullptr;
+}
+
+const Core::Request* Core::find_active(ContextId ctx) const {
+  for (const Request& r : active_)
+    if (r.ctx == ctx) return &r;
+  return nullptr;
+}
 
 double Core::total_active_weight() const {
   double w = 0.0;
-  for (const auto& [ctx, req] : active_)
-    w += contexts_[static_cast<std::size_t>(ctx)].weight;
+  for (const Request& r : active_)
+    w += contexts_[static_cast<std::size_t>(r.ctx)].weight;
   return w;
 }
 
@@ -68,8 +80,8 @@ void Core::advance_to_now() {
   const double dt = elapsed.to_seconds();
   busy_sec_ += dt;
   const double total_w = total_active_weight();
-  for (auto& [ctx, req] : active_) {
-    auto& info = contexts_[static_cast<std::size_t>(ctx)];
+  for (Request& req : active_) {
+    auto& info = contexts_[static_cast<std::size_t>(req.ctx)];
     const double rate = speed_ * info.weight / total_w;
     const double used = std::min(req.remaining_cpu_sec, dt * rate);
     req.remaining_cpu_sec -= used;
@@ -79,16 +91,19 @@ void Core::advance_to_now() {
 
 void Core::complete_and_reschedule() {
   // Collect finished requests first so their callbacks (which may issue new
-  // demands on this core) run against a consistent active set.
-  std::vector<std::function<void()>> finished;
-  for (auto it = active_.begin(); it != active_.end();) {
-    if (it->second.remaining_cpu_sec <= kCpuEpsilonSec) {
-      finished.push_back(std::move(it->second.on_complete));
-      it = active_.erase(it);
+  // demands on this core) run against a consistent active set. The
+  // survivors close up in place, keeping their ContextId order.
+  std::size_t kept = 0;
+  for (Request& req : active_) {
+    if (req.remaining_cpu_sec <= kCpuEpsilonSec) {
+      finished_.push_back(std::move(req.on_complete));
     } else {
-      ++it;
+      if (&req != &active_[kept]) active_[kept] = std::move(req);
+      ++kept;
     }
   }
+  active_.erase(active_.begin() + static_cast<std::ptrdiff_t>(kept),
+                active_.end());
 
   if (completion_event_.valid()) {
     // The completion callback clears the handle before re-entering this
@@ -101,9 +116,10 @@ void Core::complete_and_reschedule() {
   if (!active_.empty()) {
     const double total_w = total_active_weight();
     double earliest = std::numeric_limits<double>::infinity();
-    for (const auto& [ctx, req] : active_) {
+    for (const Request& req : active_) {
       const double rate =
-          speed_ * contexts_[static_cast<std::size_t>(ctx)].weight / total_w;
+          speed_ * contexts_[static_cast<std::size_t>(req.ctx)].weight /
+          total_w;
       earliest = std::min(earliest, req.remaining_cpu_sec / rate);
     }
     // Round up so that at the event instant every candidate has actually
@@ -120,8 +136,9 @@ void Core::complete_and_reschedule() {
   // issues the context's next demand, and synchronous delivery would recurse
   // unboundedly through demand() -> complete_and_reschedule() for chains of
   // tiny tasks.
-  for (auto& cb : finished)
+  for (auto& cb : finished_)
     sim_.schedule_after(SimTime::zero(), std::move(cb));
+  finished_.clear();
 }
 
 ProcStat Core::proc_stat() const { return proc_stat_at(sim_.now()); }
@@ -155,13 +172,12 @@ SimTime Core::context_cpu_time_at(ContextId ctx, SimTime t) const {
   double consumed = contexts_[static_cast<std::size_t>(ctx)].consumed_cpu_sec;
   const SimTime elapsed = t - last_update_;
   if (!elapsed.is_zero()) {
-    auto it = active_.find(ctx);
-    if (it != active_.end()) {
+    if (const Request* req = find_active(ctx)) {
       const double rate =
           speed_ * contexts_[static_cast<std::size_t>(ctx)].weight /
           total_active_weight();
       consumed +=
-          std::min(it->second.remaining_cpu_sec, elapsed.to_seconds() * rate);
+          std::min(req->remaining_cpu_sec, elapsed.to_seconds() * rate);
     }
   }
   return SimTime::from_seconds(consumed);

@@ -1,8 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -63,7 +61,11 @@ class Core {
   /// `on_complete`. At most one outstanding demand per context: a PE
   /// serializes its task executions. Zero demands complete via an
   /// immediately-scheduled event (still ordered deterministically).
-  void demand(ContextId ctx, SimTime cpu_time, std::function<void()> on_complete);
+  /// `on_complete` is an engine callback, so a capture that fits its
+  /// inline buffer moves from here to the completion event without
+  /// touching the heap.
+  void demand(ContextId ctx, SimTime cpu_time,
+              EngineCore::Callback on_complete);
 
   /// Whether `ctx` currently has an unfinished demand.
   bool has_demand(ContextId ctx) const;
@@ -101,8 +103,9 @@ class Core {
     double consumed_cpu_sec = 0.0;  ///< cumulative
   };
   struct Request {
+    ContextId ctx = 0;
     double remaining_cpu_sec = 0.0;
-    std::function<void()> on_complete;
+    EngineCore::Callback on_complete;
   };
 
   /// Accrues CPU consumption from `last_update_` to now, updating
@@ -115,15 +118,24 @@ class Core {
 
   double total_active_weight() const;
 
+  /// The active request of `ctx`, or null.
+  const Request* find_active(ContextId ctx) const;
+
   EngineCore& sim_;
   CoreId id_;
   double speed_;
   std::vector<ContextInfo> contexts_;
-  /// Ordered by ContextId so every iteration below (FP share sums, the
-  /// completion scan) visits contexts in one platform-independent order —
-  /// an unordered container here would make the trace digest depend on the
-  /// standard library's hashing.
-  std::map<ContextId, Request> active_;
+  /// The runnable contexts' requests, kept sorted by ContextId so every
+  /// iteration below (FP share sums, the completion scan) visits contexts
+  /// in one platform-independent order — an unordered container here
+  /// would make the trace digest depend on the standard library's
+  /// hashing. A flat vector, not a map: a core has a handful of runnable
+  /// contexts, and the vector keeps its capacity, so a warm demand ->
+  /// complete cycle does not allocate.
+  std::vector<Request> active_;
+  /// Scratch for complete_and_reschedule's finished callbacks; a member
+  /// so its capacity is reused.
+  std::vector<EngineCore::Callback> finished_;
   SimTime last_update_ = SimTime::zero();
   double busy_sec_ = 0.0;
   EventHandle completion_event_;

@@ -10,6 +10,14 @@ RuntimeJob& Chare::job() const {
   return *job_;
 }
 
+std::vector<double> Chare::new_payload() const {
+  return job().take_payload(id_);
+}
+
+void Chare::recycle_payload(std::vector<double> buffer) const {
+  job().recycle_payload(id_, std::move(buffer));
+}
+
 void Chare::send(ChareId dest, int tag, std::vector<double> data,
                  std::size_t bytes) const {
   job().send(id_, dest, tag, std::move(data), bytes);

@@ -56,6 +56,16 @@ class Chare {
   /// The job this chare belongs to. Valid after add_chare().
   RuntimeJob& job() const;
 
+  /// An empty payload vector for send(). It is drawn from the recycled
+  /// payloads of this chare's PE when one is free, keeping its capacity,
+  /// so a chare that builds every payload this way sends without
+  /// allocating once the run is warm.
+  std::vector<double> new_payload() const;
+
+  /// Hands a buffer the chare no longer needs (a payload-sized scratch
+  /// vector) to its PE's recycled payloads, for later new_payload() calls.
+  void recycle_payload(std::vector<double> buffer) const;
+
   /// Sends a message to another chare of the same job. `bytes` of zero
   /// means "payload size + envelope".
   void send(ChareId dest, int tag, std::vector<double> data = {},

@@ -173,11 +173,21 @@ void RuntimeJob::send(ChareId from, ChareId to, int tag,
   auto deliver_cb = [this, m = std::move(msg)]() mutable {
     deliver(std::move(m));
   };
+  static_assert(EngineCore::Callback::fits_inline<decltype(deliver_cb)>(),
+                "message delivery must not allocate its callback");
   route_to(from_pe, to_pe, base, delay, std::move(deliver_cb));
 }
 
+std::vector<double> RuntimeJob::take_payload(ChareId chare) {
+  return pes_[static_cast<std::size_t>(pe_of(chare))].take_payload();
+}
+
+void RuntimeJob::recycle_payload(ChareId chare, std::vector<double> buffer) {
+  pes_[static_cast<std::size_t>(pe_of(chare))].recycle(std::move(buffer));
+}
+
 void RuntimeJob::route_to(PeId from_pe, PeId to_pe, SimTime base,
-                          SimTime delay, std::function<void()> cb) {
+                          SimTime delay, EngineCore::Callback cb) {
   const int src_shard = shard_of_pe(from_pe);
   const int dst_shard = shard_of_pe(to_pe);
   if (in_window() && src_shard != dst_shard) {
@@ -232,33 +242,50 @@ void RuntimeJob::deliver(Message msg) {
 
 void RuntimeJob::start_next_task(PeId pe) {
   auto& p = pes_[static_cast<std::size_t>(pe)];
-  if (p.executing || p.queue.empty()) return;
+  if (p.executing || p.head == p.queue.size()) return;
   CLB_CHECK_MSG(!lb_in_progress_,
                 "AtSync contract violated: task runnable during LB barrier");
 
-  Message msg = std::move(p.queue.front());
-  p.queue.pop_front();
+  p.current = std::move(p.queue[p.head++]);
+  if (p.head == p.queue.size()) {
+    p.queue.clear();  // drained: restart at the front, keeping capacity
+    p.head = 0;
+  } else if (2 * p.head >= p.queue.size()) {
+    // A queue that does not drain: drop the consumed front half, so the
+    // vector stays within twice the waiting messages.
+    p.queue.erase(p.queue.begin(),
+                  p.queue.begin() + static_cast<std::ptrdiff_t>(p.head));
+    p.head = 0;
+  }
   p.executing = true;
 
-  Chare& target = *chares_[static_cast<std::size_t>(msg.dest)];
-  const SimTime cost = target.cost(msg);
+  const Chare& target = *chares_[static_cast<std::size_t>(p.current.dest)];
+  const SimTime cost = target.cost(p.current);
   CLB_CHECK(!cost.is_negative());
   const SimTime begin = ctx_now(pe);
 
-  vm_.demand(pe, cost,
-             [this, pe, begin, cost, m = std::move(msg)]() mutable {
-               auto& seg = part_->seg(shard_of_pe(pe));
-               seg.db.record_task(m.dest, cost.to_seconds());
-               ++seg.tasks_executed;
-               if (observer_ != nullptr)
-                 observer_->on_task_executed(*this, pe, core_of_pe(pe),
-                                             m.dest, m.tag, begin,
-                                             ctx_now(pe));
-               chares_[static_cast<std::size_t>(m.dest)]->execute(m);
-               pes_[static_cast<std::size_t>(pe)].executing = false;
-               pump_service(pe);
-               start_next_task(pe);
-             });
+  auto on_done = [this, pe, begin, cost] { finish_task(pe, begin, cost); };
+  static_assert(EngineCore::Callback::fits_inline<decltype(on_done)>(),
+                "task completion must not allocate its callback");
+  vm_.demand(pe, cost, std::move(on_done));
+}
+
+void RuntimeJob::finish_task(PeId pe, SimTime begin, SimTime cost) {
+  auto& p = pes_[static_cast<std::size_t>(pe)];
+  const Message& m = p.current;
+  auto& seg = part_->seg(shard_of_pe(pe));
+  seg.db.record_task(m.dest, cost.to_seconds());
+  ++seg.tasks_executed;
+  if (observer_ != nullptr)
+    observer_->on_task_executed(*this, pe, core_of_pe(pe), m.dest, m.tag,
+                                begin, ctx_now(pe));
+  // Nothing in execute() can start this PE's next task (p.executing
+  // holds it back), so `m` stays put while the handler runs.
+  chares_[static_cast<std::size_t>(m.dest)]->execute(m);
+  p.executing = false;
+  p.recycle(std::move(p.current.data));  // for this PE's next sends
+  pump_service(pe);
+  start_next_task(pe);
 }
 
 void RuntimeJob::at_sync(ChareId chare) {
@@ -599,7 +626,9 @@ void RuntimeJob::validate_invariants() const {
   // are in flight, so a misrouted queue means the mapping and the queues
   // were mutated out of step.
   for (std::size_t p = 0; p < pes_.size(); ++p) {
-    for (const Message& m : pes_[p].queue) {
+    const Pe& pe = pes_[p];
+    for (std::size_t i = pe.head; i < pe.queue.size(); ++i) {
+      const Message& m = pe.queue[i];
       CLB_CHECK(m.dest >= 0 &&
                 static_cast<std::size_t>(m.dest) < chares_.size());
       CLB_CHECK_MSG(

@@ -178,6 +178,13 @@ class RuntimeJob {
 
   CLB_SHARD_CONFINED void send(ChareId from, ChareId to, int tag,
                                std::vector<double> data, std::size_t bytes);
+  /// An empty payload from the free list of `chare`'s PE (see
+  /// Chare::new_payload), or a fresh vector when the list is empty.
+  CLB_SHARD_CONFINED std::vector<double> take_payload(ChareId chare);
+  /// Returns `buffer`, cleared, to the free list of `chare`'s PE, unless
+  /// it owns no storage, the list is full, or the PE has no buffers out.
+  CLB_SHARD_CONFINED void recycle_payload(ChareId chare,
+                                          std::vector<double> buffer);
   CLB_SHARD_CONFINED void at_sync(ChareId chare);
   CLB_SHARD_CONFINED void contribute(ChareId chare, double value);
   CLB_SHARD_CONFINED void chare_finished(ChareId chare);
@@ -227,9 +234,48 @@ class RuntimeJob {
     std::function<void()> done;
   };
 
+  /// Cap on a PE's free list of payload vectors. The Jacobi2D PEs of the
+  /// paper's Fig. 2 cell (16 blocks each) stop allocating at about 90
+  /// buffers, which their ghost sends, ghost slots and compute messages
+  /// cycle through every iteration.
+  static constexpr std::size_t kMaxFreePayloads = 96;
+
   struct Pe {
-    std::deque<Message> queue;
+    /// Messages waiting to run, oldest at queue[head]. A vector with a
+    /// moving head rather than a deque: it keeps its capacity, so a warm
+    /// queue never allocates (a deque allocates and frees a chunk every
+    /// few messages).
+    std::vector<Message> queue;
+    std::size_t head = 0;
+    /// The message whose task is running (valid while `executing`): the
+    /// completion callback reads it here, so its capture stays small.
+    Message current;
     bool executing = false;
+    /// Cleared payload vectors of executed messages, handed out by
+    /// take_payload (at most kMaxFreePayloads).
+    std::vector<std::vector<double>> free_payloads;
+    /// Buffers this PE's chares have drawn and the PE has not yet taken
+    /// back. The free list takes a buffer back only against this count,
+    /// so a PE whose chares never draw (Mol3D, AMPI) keeps no idle
+    /// buffers.
+    std::size_t payloads_out = 0;
+
+    std::vector<double> take_payload() {
+      ++payloads_out;
+      if (free_payloads.empty()) return {};
+      std::vector<double> payload = std::move(free_payloads.back());
+      free_payloads.pop_back();
+      return payload;
+    }
+    /// Keeps `buffer` for take_payload, or frees it.
+    void recycle(std::vector<double> buffer) {
+      if (buffer.capacity() == 0 || payloads_out == 0 ||
+          free_payloads.size() >= kMaxFreePayloads)
+        return;
+      --payloads_out;
+      buffer.clear();
+      free_payloads.push_back(std::move(buffer));
+    }
     std::deque<ServiceItem> services;
     bool service_active = false;
     // Measurement-window anchors for LbStats (reset after each LB step).
@@ -263,9 +309,11 @@ class RuntimeJob {
   /// `to_pe`'s engine, through the host's windowed channel when a window
   /// is open and the PEs sit on different shards.
   CLB_SHARD_CONFINED void route_to(PeId from_pe, PeId to_pe, SimTime base,
-                                   SimTime delay, std::function<void()> cb);
+                                   SimTime delay, EngineCore::Callback cb);
 
   CLB_SHARD_CONFINED void deliver(Message msg);
+  /// Runs PE `pe`'s current task once its CPU demand is served.
+  CLB_SHARD_CONFINED void finish_task(PeId pe, SimTime begin, SimTime cost);
   [[nodiscard]] SimTime sampled_idle_at(PeId pe, SimTime t) const;
   /// Total delay for `bytes` from src to dst core at time `now`,
   /// including NIC egress queueing when the network model enables it.

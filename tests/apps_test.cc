@@ -3,6 +3,8 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <numeric>
 #include <set>
 #include <string>
@@ -18,6 +20,7 @@
 #include "runtime/job.h"
 #include "sim/simulator.h"
 #include "support/mol3d_reference_forces.h"
+#include "support/stencil_reference.h"
 #include "util/check.h"
 #include "util/rng.h"
 #include "vm/virtual_machine.h"
@@ -312,6 +315,190 @@ TEST(Wave2dTest, StateBytesCoverTwoTimeLevels) {
   populate_jacobi2d(*rig2.job, jconfig);
   EXPECT_GT(rig.job->chare(0).footprint_bytes(),
             rig2.job->chare(0).footprint_bytes());
+}
+
+// ------------------------------------------------ stencil kernel exactness
+
+/// Layouts that put blocks in every position the row-wise sweep peels:
+/// 1-column and 1-row blocks, blocks on each global boundary (and on two
+/// opposite ones at once), uneven splits and non-square grids.
+std::vector<StencilLayout> kernel_layouts() {
+  const int shapes[][4] = {
+      // grid_x, grid_y, blocks_x, blocks_y
+      {3, 3, 1, 1},   {3, 3, 3, 3},   {5, 4, 5, 1},  {4, 6, 1, 6},
+      {7, 40, 7, 3},  {40, 7, 3, 7},  {17, 13, 5, 4}, {9, 31, 2, 7},
+      {24, 18, 4, 3}, {25, 19, 4, 3}, {11, 5, 4, 2},  {6, 12, 5, 11},
+  };
+  std::vector<StencilLayout> layouts;
+  for (const auto& s : shapes) {
+    StencilLayout l;
+    l.grid_x = s[0];
+    l.grid_y = s[1];
+    l.blocks_x = s[2];
+    l.blocks_y = s[3];
+    layouts.push_back(l);
+  }
+  return layouts;
+}
+
+/// Random values with some signed zeros, so the sums meet cancellation
+/// and −0.0 as well as ordinary values.
+void fill_random(Rng& rng, std::vector<double>& v, std::size_t n) {
+  v.resize(n);
+  for (double& x : v) {
+    const double r = rng.next_double();
+    x = r < 0.05 ? -0.0 : r < 0.1 ? 0.0 : rng.uniform(-2.0, 2.0);
+  }
+}
+
+/// Random ghost edges of the right length on every side with a neighbour.
+StencilGhosts random_ghosts(Rng& rng, const StencilBlock& b) {
+  StencilGhosts g;
+  if (b.x0 > 0) fill_random(rng, g[kWest], static_cast<std::size_t>(b.ny));
+  if (b.x0 + b.nx < b.grid_x)
+    fill_random(rng, g[kEast], static_cast<std::size_t>(b.ny));
+  if (b.y0 > 0) fill_random(rng, g[kNorth], static_cast<std::size_t>(b.nx));
+  if (b.y0 + b.ny < b.grid_y)
+    fill_random(rng, g[kSouth], static_cast<std::size_t>(b.nx));
+  return g;
+}
+
+void expect_bitwise_equal(const std::vector<double>& got,
+                          const std::vector<double>& want,
+                          const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  if (std::memcmp(got.data(), want.data(), got.size() * sizeof(double)) == 0)
+    return;
+  for (std::size_t i = 0; i < got.size(); ++i)
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+              std::bit_cast<std::uint64_t>(want[i]))
+        << what << ": point " << i;
+}
+
+std::string block_name(const StencilLayout& l, int bx, int by, int it) {
+  return std::to_string(l.grid_x) + "x" + std::to_string(l.grid_y) + " / " +
+         std::to_string(l.blocks_x) + "x" + std::to_string(l.blocks_y) +
+         ", block (" + std::to_string(bx) + "," + std::to_string(by) +
+         "), iteration " + std::to_string(it);
+}
+
+TEST(StencilKernelTest, JacobiSweepMatchesPerPointReference) {
+  // Every block of every layout, four sweeps each with fresh ghosts: the
+  // row-wise kernel must give the per-point loop's bits, point by point
+  // and in the residual.
+  Rng rng{16};
+  std::vector<double> u, got, want;
+  int blocks = 0;
+  for (const StencilLayout& l : kernel_layouts()) {
+    for (int by = 0; by < l.blocks_y; ++by) {
+      for (int bx = 0; bx < l.blocks_x; ++bx) {
+        const StencilBlock b = l.block(bx, by);
+        fill_random(rng, u, b.points());
+        for (int it = 0; it < 4; ++it) {
+          const std::string what = block_name(l, bx, by, it);
+          const StencilGhosts ghosts = random_ghosts(rng, b);
+          const double r_want = jacobi2d_reference_sweep(b, u, ghosts, want);
+          const double r_got = jacobi2d_sweep(b, u, ghosts, got);
+          expect_bitwise_equal(got, want, what);
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(r_got),
+                    std::bit_cast<std::uint64_t>(r_want))
+              << what << ": residual";
+          u.swap(got);
+        }
+        ++blocks;
+      }
+    }
+  }
+  EXPECT_GT(blocks, 100);
+}
+
+TEST(StencilKernelTest, WaveStepMatchesPerPointReference) {
+  Rng rng{17};
+  std::vector<double> prev, cur, got, want;
+  for (const double courant : {0.5, 0.3}) {
+    const double c2 = courant * courant;
+    for (const StencilLayout& l : kernel_layouts()) {
+      for (int by = 0; by < l.blocks_y; ++by) {
+        for (int bx = 0; bx < l.blocks_x; ++bx) {
+          const StencilBlock b = l.block(bx, by);
+          fill_random(rng, prev, b.points());
+          fill_random(rng, cur, b.points());
+          for (int it = 0; it < 4; ++it) {
+            const std::string what = block_name(l, bx, by, it) +
+                                     ", courant " + std::to_string(courant);
+            const StencilGhosts ghosts = random_ghosts(rng, b);
+            wave2d_reference_step(b, c2, prev, cur, ghosts, want);
+            wave2d_step(b, c2, prev, cur, ghosts, got);
+            expect_bitwise_equal(got, want, what);
+            prev.swap(cur);
+            cur.swap(got);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(StencilKernelTest, RejectsGhostEdgeOfWrongLength) {
+  StencilLayout l = small_layout();
+  const StencilBlock b = l.block(1, 1);
+  Rng rng{18};
+  std::vector<double> u, out;
+  fill_random(rng, u, b.points());
+  StencilGhosts ghosts = random_ghosts(rng, b);
+  ghosts[kNorth].pop_back();
+  EXPECT_THROW(jacobi2d_sweep(b, u, ghosts, out), CheckFailure);
+  EXPECT_THROW(wave2d_step(b, 0.25, u, u, ghosts, out), CheckFailure);
+}
+
+/// A started 4-block Jacobi job whose chare 0 (top-left block, with east
+/// and south neighbours) receives hand-made messages.
+struct MalformedRig {
+  MalformedRig() : rig{2} {
+    Jacobi2dConfig config;
+    config.layout = small_layout();
+    populate_jacobi2d(*rig.job, config);
+    rig.job->start();
+  }
+  void deliver(int tag, std::vector<double> data) {
+    Message msg;
+    msg.src = 1;
+    msg.dest = 0;
+    msg.tag = tag;
+    msg.data = std::move(data);
+    rig.job->chare(0).execute(msg);
+  }
+  std::vector<double> ghost(double iter, double side) const {
+    std::vector<double> data{iter, side};
+    data.resize(2 + 6, 1.0);  // small_layout blocks are 6 × 6
+    return data;
+  }
+  AppRig rig;
+};
+
+TEST(StencilBlockTest, RejectsMalformedGhostMessages) {
+  MalformedRig m;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(m.deliver(kTagGhost, {}), CheckFailure);
+  EXPECT_THROW(m.deliver(kTagGhost, {0.0}), CheckFailure);
+  EXPECT_THROW(m.deliver(kTagGhost, m.ghost(0, -1.0)), CheckFailure);
+  EXPECT_THROW(m.deliver(kTagGhost, m.ghost(0, 4.0)), CheckFailure);
+  EXPECT_THROW(m.deliver(kTagGhost, m.ghost(0, nan)), CheckFailure);
+  EXPECT_THROW(m.deliver(kTagGhost, m.ghost(nan, kEast)), CheckFailure);
+  EXPECT_THROW(m.deliver(kTagGhost, m.ghost(2, kEast)), CheckFailure);
+  // A well-formed ghost is buffered once; the same side again is a
+  // duplicate.
+  m.deliver(kTagGhost, m.ghost(0, kEast));
+  EXPECT_THROW(m.deliver(kTagGhost, m.ghost(0, kEast)), CheckFailure);
+}
+
+TEST(StencilBlockTest, RejectsMalformedComputeMessages) {
+  MalformedRig m;
+  EXPECT_THROW(m.deliver(kTagCompute, {}), CheckFailure);
+  EXPECT_THROW(m.deliver(kTagCompute, {1.0}), CheckFailure);
+  EXPECT_THROW(
+      m.deliver(kTagCompute, {std::numeric_limits<double>::quiet_NaN()}),
+      CheckFailure);
 }
 
 // ------------------------------------------------------------------- Mol3D
