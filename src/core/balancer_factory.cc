@@ -20,18 +20,25 @@ std::unique_ptr<LoadBalancer> make_balancer(const std::string& name,
   }
   if (name == "ia-refine-ewma") {
     // A preset, not a strategy: ia-refine forecasting with the EWMA.
-    EstimatorMode& mode = options.robustness.estimator_mode;
-    CLB_CHECK_MSG(mode == EstimatorMode::kPersist ||
-                      mode == EstimatorMode::kEwma,
-                  "--balancer=ia-refine-ewma is ia-refine --estimator=ewma; "
-                  "it cannot be combined with --estimator="
-                      << estimator_mode_name(mode));
-    mode = EstimatorMode::kEwma;
+    const std::string conflict = balancer_conflict(name, options);
+    CLB_CHECK_MSG(conflict.empty(), conflict);
+    options.robustness.estimator_mode = EstimatorMode::kEwma;
     return std::make_unique<InterferenceAwareRefineLb>(options);
   }
   auto baseline = make_baseline_balancer(name, options);
   CLB_CHECK_MSG(baseline != nullptr, "unknown balancer: " << name);
   return baseline;
+}
+
+std::string balancer_conflict(const std::string& name,
+                              const LbOptions& options) {
+  const EstimatorMode mode = options.robustness.estimator_mode;
+  if (name != "ia-refine-ewma" || mode == EstimatorMode::kPersist ||
+      mode == EstimatorMode::kEwma)
+    return "";
+  return "--balancer=ia-refine-ewma is ia-refine --estimator=ewma; it "
+         "cannot be combined with --estimator=" +
+         estimator_mode_name(mode);
 }
 
 std::vector<std::string> balancer_names() {

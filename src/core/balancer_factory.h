@@ -16,6 +16,11 @@ namespace cloudlb {
 std::unique_ptr<LoadBalancer> make_balancer(const std::string& name,
                                             LbOptions options = {});
 
+/// Why make_balancer would refuse `name` with `options` (the
+/// ia-refine-ewma preset fixes the estimator mode), or "" if it would not.
+std::string balancer_conflict(const std::string& name,
+                              const LbOptions& options);
+
 /// Every name make_balancer accepts.
 std::vector<std::string> balancer_names();
 

@@ -231,6 +231,10 @@ std::string estimator_mode_name(EstimatorMode mode) {
   return "persist";
 }
 
+std::vector<std::string> estimator_mode_names() {
+  return {"persist", "ewma", "trend", "regress"};
+}
+
 ProactiveBackgroundEstimator::ProactiveBackgroundEstimator(
     const LbRobustnessOptions& options)
     : options_{options},

@@ -60,6 +60,8 @@ std::unique_ptr<ForecastingEstimator> make_forecasting_estimator(
 /// "regress"). from_name throws CheckFailure listing the valid names.
 EstimatorMode estimator_mode_from_name(const std::string& name);
 std::string estimator_mode_name(EstimatorMode mode);
+/// Every name estimator_mode_from_name accepts.
+std::vector<std::string> estimator_mode_names();
 
 /// The composed estimator front-end the interference-aware balancers use:
 ///

@@ -103,7 +103,7 @@ struct MigrationFaultSpec {
 ///
 /// e.g. "spike(core=2,start=0.5,duration=1);drop(prob=0.1);seed(value=42)"
 /// Durations are plain seconds. Unknown models or keys throw CheckFailure
-/// (like Options::check_unused, typos must not silently disable a fault).
+/// (like an unknown CLI flag, typos must not silently disable a fault).
 /// parse() keeps zero-intensity models (so a spec sweep can include the
 /// zero point); FaultInjector prunes them from its copy at construction,
 /// so the injector's plan() reflects only the models that can fire.

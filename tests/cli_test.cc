@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+#include <iostream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -7,68 +11,90 @@
 
 #include "cli/cli.h"
 #include "util/check.h"
-#include "util/options.h"
+#include "util/thread_pool.h"
+#include "util/validate.h"
 
 namespace cloudlb {
 namespace {
 
-// ---------------------------------------------------------------- Options
+// ------------------------------------------------------------ CommandLine
+
+// The parse error for a command line, or "" when the table accepts it.
+std::string parse_error(const std::string& command,
+                        const std::vector<std::string>& args) {
+  try {
+    static_cast<void>(CommandLine{command, args});
+  } catch (const CheckFailure& failure) {
+    return failure.what();
+  }
+  return "";
+}
+
+// The same for a whole command line, command first.
+std::string parse_error_of(const std::vector<std::string>& args) {
+  return parse_error(args[0],
+                     std::vector<std::string>(args.begin() + 1, args.end()));
+}
 
 TEST(OptionsTest, ParsesEqualsForm) {
-  Options options{{"--app=wave2d", "--cores=8"}};
-  EXPECT_EQ(options.get_string("app"), "wave2d");
-  EXPECT_EQ(options.get_int("cores"), 8);
+  const CommandLine line{"penalty", {"--app=wave2d", "--cores=8"}};
+  EXPECT_EQ(line.text("app"), "wave2d");
+  EXPECT_EQ(line.integer("cores"), 8);
 }
 
 TEST(OptionsTest, ParsesSpaceForm) {
-  Options options{{"--app", "mol3d", "--cores", "16"}};
-  EXPECT_EQ(options.get_string("app"), "mol3d");
-  EXPECT_EQ(options.get_int("cores"), 16);
+  const CommandLine line{"penalty", {"--app", "mol3d", "--cores", "16"}};
+  EXPECT_EQ(line.text("app"), "mol3d");
+  EXPECT_EQ(line.integer("cores"), 16);
 }
 
 TEST(OptionsTest, BareFlagIsTrue) {
-  Options options{{"--csv", "--verbose=false"}};
-  EXPECT_TRUE(options.get_bool("csv"));
-  EXPECT_FALSE(options.get_bool("verbose"));
-  EXPECT_FALSE(options.get_bool("absent", false));
-  EXPECT_TRUE(options.get_bool("absent2", true));
+  const CommandLine line{"penalty", {"--csv", "--lb-fallback=false"}};
+  EXPECT_TRUE(line.boolean("csv"));
+  EXPECT_FALSE(line.boolean("lb-fallback"));
+  EXPECT_TRUE(line.given("lb-fallback"));
+  const CommandLine absent{"penalty", {}};
+  EXPECT_FALSE(absent.boolean("csv"));
+  EXPECT_FALSE(absent.given("csv"));
 }
 
 TEST(OptionsTest, PositionalArgumentsKept) {
-  Options options{{"sweep", "--cores=4", "extra"}};
-  EXPECT_EQ(options.positional(),
-            (std::vector<std::string>{"sweep", "extra"}));
+  // Kept for the error, which names each one: no command takes any.
+  const std::string error =
+      parse_error("sweep", {"sweep", "--cores=4", "extra"});
+  EXPECT_NE(error.find("'sweep'"), std::string::npos) << error;
+  EXPECT_NE(error.find("'extra'"), std::string::npos) << error;
 }
 
 TEST(OptionsTest, DefaultsWhenMissing) {
-  Options options{{}};
-  EXPECT_EQ(options.get_string("app", "jacobi2d"), "jacobi2d");
-  EXPECT_EQ(options.get_int("cores", 8), 8);
-  EXPECT_DOUBLE_EQ(options.get_double("epsilon", 0.05), 0.05);
+  const CommandLine line{"penalty", {}};
+  EXPECT_EQ(line.text("app"), "jacobi2d");
+  EXPECT_EQ(line.integer("cores"), 8);
+  EXPECT_DOUBLE_EQ(line.number("epsilon"), 0.05);
+  EXPECT_EQ(CommandLine("sweep", {}).ints("cores"),
+            (std::vector<int>{4, 8, 16, 32}));
 }
 
 TEST(OptionsTest, IntListParsing) {
-  Options options{{"--cores=4,8,16,32"}};
-  EXPECT_EQ(options.get_int_list("cores"), (std::vector<int>{4, 8, 16, 32}));
-  Options single{{"--cores=7"}};
-  EXPECT_EQ(single.get_int_list("cores"), (std::vector<int>{7}));
+  const CommandLine line{"sweep", {"--cores=4,8,16,32"}};
+  EXPECT_EQ(line.ints("cores"), (std::vector<int>{4, 8, 16, 32}));
+  const CommandLine single{"sweep", {"--cores=7"}};
+  EXPECT_EQ(single.ints("cores"), (std::vector<int>{7}));
 }
 
 TEST(OptionsTest, TypeErrorsThrow) {
-  Options options{{"--cores=eight", "--epsilon=tiny", "--csv=maybe",
-                   "--list=1,x"}};
-  EXPECT_THROW(options.get_int("cores"), CheckFailure);
-  EXPECT_THROW(options.get_double("epsilon"), CheckFailure);
-  EXPECT_THROW(options.get_bool("csv"), CheckFailure);
-  EXPECT_THROW(options.get_int_list("list"), CheckFailure);
+  EXPECT_THROW(CommandLine("penalty", {"--cores=eight"}), CheckFailure);
+  EXPECT_THROW(CommandLine("penalty", {"--epsilon=tiny"}), CheckFailure);
+  EXPECT_THROW(CommandLine("penalty", {"--csv=maybe"}), CheckFailure);
+  EXPECT_THROW(CommandLine("sweep", {"--cores=1,x"}), CheckFailure);
 }
 
 TEST(OptionsTest, UnusedOptionsDetected) {
-  Options options{{"--app=wave2d", "--epsilan=0.1"}};
-  options.get_string("app");
-  EXPECT_THROW(options.check_unused(), CheckFailure);
-  options.get_double("epsilan");
-  EXPECT_NO_THROW(options.check_unused());
+  const std::string error =
+      parse_error("penalty", {"--app=wave2d", "--epsilan=0.1"});
+  EXPECT_NE(error.find("--epsilan"), std::string::npos) << error;
+  EXPECT_NE(error.find("penalty"), std::string::npos) << error;
+  EXPECT_EQ(parse_error("penalty", {"--app=wave2d", "--epsilon=0.1"}), "");
 }
 
 // -------------------------------------------------------------------- CLI
@@ -469,6 +495,325 @@ TEST(CliTest, ForecastingPenaltyRunsEndToEnd) {
   EXPECT_EQ(r.code, 0) << r.err;
   EXPECT_NE(r.out.find("app penalty (%)"), std::string::npos);
 }
+
+// Every probe below once ran silently, or died mid-run on a CHECK that
+// named no flag. Each must now fail in the table pass, before any
+// simulation starts, with an error naming the flag.
+void expect_rejected(const std::vector<std::string>& args,
+                     const std::string& flag) {
+  const std::string error = parse_error_of(args);
+  EXPECT_NE(error.find(flag), std::string::npos)
+      << args[1] << " -> '" << error << "'";
+  const CliResult r = cli(args);
+  EXPECT_EQ(r.code, 1) << args[1];
+  EXPECT_NE(r.err.find(flag), std::string::npos) << r.err;
+}
+
+TEST(CliTest, NegativeCountsFailAtParse) {
+  expect_rejected({"penalty", "--tenants=-2"}, "--tenants");
+  expect_rejected({"penalty", "--migration-retries=-1"},
+                  "--migration-retries");
+  expect_rejected({"penalty", "--iterations=-5"}, "--iterations");
+  expect_rejected({"penalty", "--jobs=-1", "--shards=2"}, "--jobs");
+  expect_rejected({"sweep", "--jobs=-1"}, "--jobs");
+}
+
+TEST(CliTest, ValuesThatFailedMidRunFailAtParse) {
+  expect_rejected({"penalty", "--cores=0"}, "--cores");
+  expect_rejected({"penalty", "--lb-period=-1"}, "--lb-period");
+  expect_rejected({"penalty", "--epsilon=-1"}, "--epsilon");
+  expect_rejected({"penalty", "--epsilon=nan"}, "--epsilon");
+  expect_rejected({"penalty", "--bg-weight=0"}, "--bg-weight");
+  expect_rejected({"penalty", "--bg-iterations=0"}, "--bg-iterations");
+  expect_rejected({"timeline", "--width=0"}, "--width");
+}
+
+TEST(CliTest, CoresBelowTheBackgroundJobFailAtParse) {
+  expect_rejected({"penalty", "--cores=1"}, "--cores");
+  expect_rejected({"sweep", "--cores=1,4"}, "--cores");
+  expect_rejected({"penalty", "--cores=1", "--tenants=2", "--with-bg"},
+                  "--cores");
+  EXPECT_EQ(parse_error("penalty", {"--cores=1", "--tenants=2"}), "");
+}
+
+TEST(CliTest, RepeatedFlagFailsAtParse) {
+  expect_rejected({"penalty", "--cores=4", "--cores=8"}, "--cores");
+  EXPECT_NE(parse_error("penalty", {"--csv", "--csv"}).find("more than once"),
+            std::string::npos);
+}
+
+TEST(CliTest, StrayPositionalFailsAtParse) {
+  expect_rejected({"penalty", "stray"}, "stray");
+  expect_rejected({"replay", "--trace=x", "stray"}, "stray");
+}
+
+TEST(CliTest, ListCommandsTakeNoFlags) {
+  for (const char* command : {"apps", "balancers", "help"}) {
+    const CliResult r = cli({command, "--cores=4"});
+    EXPECT_EQ(r.code, 1) << command;
+    EXPECT_NE(r.err.find("--cores"), std::string::npos) << r.err;
+    EXPECT_NE(r.err.find(command), std::string::npos) << r.err;
+  }
+  EXPECT_EQ(cli({"help", "nonsense"}).code, 1);
+}
+
+TEST(CliTest, WithBgWithoutTenantsFailsAtParse) {
+  // Once misreported as an unknown option.
+  expect_rejected({"penalty", "--with-bg"}, "--with-bg");
+  const std::string error =
+      parse_error("timeline", {"--with-bg", "--tenants=0"});
+  EXPECT_NE(error.find("--tenants > 0"), std::string::npos) << error;
+  EXPECT_EQ(error.find("unknown"), std::string::npos) << error;
+}
+
+TEST(CliTest, SweepEmptyBalancerFailsAtParse) {
+  expect_rejected({"sweep", "--balancers="}, "--balancers");
+  expect_rejected({"sweep", "--balancers=null,,ia-refine"}, "--balancers");
+  expect_rejected({"sweep", "--balancers=null,"}, "--balancers");
+}
+
+TEST(CliTest, EpsilonWithBalancersWithoutToleranceFailsAtParse) {
+  for (const char* balancer : {"null", "greedy", "random"}) {
+    const std::string name = std::string{"--balancer="} + balancer;
+    for (const char* command : {"penalty", "record", "timeline"})
+      expect_rejected({command, "--out=/dev/null", name, "--epsilon=0.1"},
+                      "--epsilon has no effect with " + name);
+    expect_rejected({"replay", "--trace=x", name, "--epsilon=0.1"},
+                    "--epsilon has no effect with " + name);
+  }
+  EXPECT_EQ(parse_error("replay", {"--trace=x", "--balancer=refine",
+                                   "--epsilon=0.1"}),
+            "");
+}
+
+TEST(CliTest, EveryViolationIsReportedAtOnce) {
+  const std::string error = parse_error(
+      "penalty", {"--cores=2", "--cores=3", "--coers=1", "stray",
+                  "--balancer=null", "--estimator=ewma"});
+  for (const char* part : {"--cores", "--coers", "stray", "--estimator"})
+    EXPECT_NE(error.find(part), std::string::npos) << part << ": " << error;
+}
+
+TEST(CliTest, HelpListsEachCommandsFlagsFromTheTable) {
+  for (const std::string command : {"penalty", "sweep", "timeline", "record",
+                                    "replay", "apps", "balancers", "help"}) {
+    const CliResult r = cli({"help", command});
+    EXPECT_EQ(r.code, 0) << command;
+    for (const Flag* flag : cli_flags(command))
+      EXPECT_NE(r.out.find("--" + std::string{flag->name}), std::string::npos)
+          << command << " --" << flag->name;
+  }
+  EXPECT_NE(cli({"help", "penalty"}).out.find("--with-bg"), std::string::npos);
+  for (const char* command : {"penalty", "sweep", "replay"})
+    EXPECT_NE(cli({"help", command}).out.find("--csv"), std::string::npos);
+  EXPECT_NE(cli({"help"}).out.find("cloudlb help <command>"),
+            std::string::npos);
+}
+
+// ------------------------------------------------------ pairwise flag grid
+//
+// For each command, every pair of its table flags at representative legal
+// values drawn from the rows themselves, so a new row is covered without
+// touching this test. A cell the table accepts must run to exit 0 under
+// validation; a cell a constraint rejects must name one of its flags, and
+// is retried with one more flag added (e.g. --shards=2 for --jobs), so a
+// flag that needs a partner still runs. Every out-of-range value, one flag
+// at a time, must fail the parse with an error naming that flag.
+
+// Free-form strings have no range to draw from; each needs a sample here.
+std::string free_text_sample(const std::string& name) {
+  if (name == "faults")
+    return "spike(core=1,start=0.01,duration=0.02);seed(value=3)";
+  if (name == "out") return ::testing::TempDir() + "/cloudlb_grid.lbstats";
+  if (name == "trace")
+    return ::testing::TempDir() + "/cloudlb_grid_in.lbstats";
+  return "";
+}
+
+std::string arg(const Flag& flag, const std::string& value) {
+  return "--" + std::string{flag.name} + "=" + value;
+}
+
+std::string num(double v) {
+  std::ostringstream os;
+  os << v;
+  return os.str();
+}
+
+// One legal value per number: the lower edge (a step inside an open one),
+// moved a step up when that is the default, so the cell differs from the
+// default run. Every name but the default; bools bare.
+std::vector<std::string> legal_args(const Flag& flag) {
+  const Range& r = flag.range;
+  std::vector<std::string> values;
+  switch (flag.kind) {
+    case FlagKind::kBool:
+      return {"--" + std::string{flag.name}};
+    case FlagKind::kString:
+    case FlagKind::kStringList:
+      if (r.names == nullptr) {
+        values = {free_text_sample(flag.name)};
+        EXPECT_FALSE(values[0].empty()) << "no sample for --" << flag.name;
+        break;
+      }
+      for (const std::string& name : r.names())
+        if (name != flag.fallback) values.push_back(name);
+      break;
+    case FlagKind::kInt:
+    case FlagKind::kDouble:
+    case FlagKind::kIntList: {
+      const double step = flag.kind == FlagKind::kDouble && r.open_lo ? 0.5 : 1;
+      double edge = r.open_lo ? r.lo + step : r.lo;
+      if (edge == std::strtod(flag.fallback, nullptr)) edge += 1;
+      values = {num(edge)};
+      break;
+    }
+  }
+  std::vector<std::string> args;
+  for (const std::string& v : values) args.push_back(arg(flag, v));
+  return args;
+}
+
+// Out-of-range and malformed values, each of which must be rejected.
+std::vector<std::string> illegal_args(const Flag& flag) {
+  const Range& r = flag.range;
+  std::vector<std::string> values;
+  switch (flag.kind) {
+    case FlagKind::kBool:
+      values = {"maybe"};
+      break;
+    case FlagKind::kString:
+      if (r.names != nullptr) values = {"bogus"};
+      break;
+    case FlagKind::kStringList:
+      values = {"bogus", "", r.names ? r.names()[0] + "," : ","};
+      break;
+    case FlagKind::kInt:
+    case FlagKind::kIntList:
+      values = {num(r.open_lo ? r.lo : r.lo - 1), "x", "1.5", "99999999999"};
+      if (flag.kind == FlagKind::kIntList)
+        values.insert(values.end(), {"8,", "8," + values[0]});
+      break;
+    case FlagKind::kDouble:
+      values = {num(r.open_lo ? r.lo : r.lo - 1), "nan", "inf", "x"};
+      break;
+  }
+  std::vector<std::string> args;
+  for (const std::string& v : values) args.push_back(arg(flag, v));
+  return args;
+}
+
+std::string flag_of(const std::string& arg) {
+  return arg.substr(0, arg.find('='));
+}
+
+// The command line of one cell: the small base run (one balancer for
+// sweep), minus any flag the cell sets itself.
+std::vector<std::string> cell_args(const std::string& command,
+                                   const std::vector<std::string>& cell) {
+  std::vector<std::string> args{command};
+  for (const std::string& base :
+       {std::string{"--cores=8"}, std::string{"--iterations=10"},
+        std::string{"--bg-iterations=10"}, std::string{"--balancers=ia-refine"},
+        "--out=" + free_text_sample("out"),
+        "--trace=" + free_text_sample("trace")}) {
+    const std::string flag = flag_of(base);
+    const auto accepted = cli_flags(command);
+    const bool accepts = std::any_of(
+        accepted.begin(), accepted.end(),
+        [&flag](const Flag* f) { return flag == "--" + std::string{f->name}; });
+    const bool in_cell = std::any_of(
+        cell.begin(), cell.end(),
+        [&flag](const std::string& a) { return flag_of(a) == flag; });
+    if (accepts && !in_cell) args.push_back(base);
+  }
+  args.insert(args.end(), cell.begin(), cell.end());
+  return args;
+}
+
+std::string joined(const std::vector<std::string>& args) {
+  std::string line;
+  for (const std::string& a : args) line += a + ' ';
+  return line;
+}
+
+void run_flag_grid(const std::string& command) {
+  const ValidationScope validate{true};
+  if (command == "replay") {
+    const CliResult record =
+        cli({"record", "--out=" + free_text_sample("trace"), "--cores=8",
+             "--iterations=10", "--bg-iterations=10"});
+    ASSERT_EQ(record.code, 0) << record.err;
+  }
+  const std::vector<const Flag*> flags = cli_flags(command);
+  ASSERT_FALSE(flags.empty());
+
+  for (const Flag* flag : flags)
+    for (const std::string& bad : illegal_args(*flag)) {
+      const std::string error = parse_error_of(cell_args(command, {bad}));
+      EXPECT_NE(error.find(flag_of(bad)), std::string::npos)
+          << command << ' ' << bad << " -> '" << error << "'";
+    }
+
+  std::vector<std::string> samples;
+  for (const Flag* flag : flags)
+    for (const std::string& a : legal_args(*flag)) samples.push_back(a);
+  std::vector<std::vector<std::string>> runs;
+  std::set<std::string> ran;  // samples that run in at least one cell
+  int cells = 0;
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    for (std::size_t j = i + 1; j < samples.size(); ++j) {
+      const std::string& a = samples[i];
+      const std::string& b = samples[j];
+      if (flag_of(a) == flag_of(b)) continue;
+      ++cells;
+      std::vector<std::string> cell{a, b};
+      const std::string error = parse_error_of(cell_args(command, cell));
+      if (!error.empty()) {
+        EXPECT_TRUE(error.find(flag_of(a)) != std::string::npos ||
+                    error.find(flag_of(b)) != std::string::npos)
+            << a << ' ' << b << " -> '" << error << "'";
+        // A rule may want a partner flag (--jobs wants --shards=2): try
+        // each other sample as one.
+        const auto partner = std::find_if(
+            samples.begin(), samples.end(), [&](const std::string& extra) {
+              return flag_of(extra) != flag_of(a) &&
+                     flag_of(extra) != flag_of(b) &&
+                     parse_error_of(cell_args(command, {a, b, extra})).empty();
+            });
+        if (partner == samples.end()) continue;
+        cell.push_back(*partner);
+      }
+      ran.insert(cell.begin(), cell.end());
+      runs.push_back(cell_args(command, cell));
+      // Cells run concurrently, so each record writes its own trace.
+      for (std::string& arg : runs.back())
+        if (flag_of(arg) == "--out")
+          arg += "." + std::to_string(runs.size());
+    }
+  }
+  // A value no partner can make legal must be a rule's on its own
+  // (timeline's --shards=2), named in the rejection.
+  for (const std::string& sample : samples) {
+    if (ran.contains(sample)) continue;
+    const std::string error = parse_error_of(cell_args(command, {sample}));
+    EXPECT_NE(error.find(flag_of(sample)), std::string::npos)
+        << sample << " never runs";
+  }
+
+  const std::vector<CliResult> results = parallel_map<CliResult>(
+      runs.size(), 0, [&runs](std::size_t i) { return cli(runs[i]); });
+  for (std::size_t i = 0; i < runs.size(); ++i)
+    EXPECT_EQ(results[i].code, 0) << joined(runs[i]) << '\n' << results[i].err;
+  std::cout << command << ": " << cells << " cells, " << runs.size()
+            << " run\n";
+}
+
+TEST(CliFlagGrid, Penalty) { run_flag_grid("penalty"); }
+TEST(CliFlagGrid, Sweep) { run_flag_grid("sweep"); }
+TEST(CliFlagGrid, Timeline) { run_flag_grid("timeline"); }
+TEST(CliFlagGrid, Record) { run_flag_grid("record"); }
+TEST(CliFlagGrid, Replay) { run_flag_grid("replay"); }
 
 }  // namespace
 }  // namespace cloudlb
