@@ -168,6 +168,35 @@ void BM_EventEngineTimerWheelRearm(benchmark::State& state) {
 }
 BENCHMARK(BM_EventEngineTimerWheelRearm);
 
+void BM_EventEngineSameInstantBurst(benchmark::State& state) {
+  // The shape of the Fig. 2 cell (perfbench's paper-jacobi32): about 190
+  // pending events spread over about 12 instants, a third of all events
+  // scheduled at now() (a task's zero-delay completion relay), and ranks
+  // mixed by chare. Each chare cycles message -> task end -> relay.
+  constexpr std::uint64_t kChares = 192;
+  struct Cell {
+    Simulator sim;
+    std::uint64_t delays = 0x9e3779b97f4a7c15ull;
+    void fire(std::uint64_t chare, int phase) {
+      const int next = (phase + 1) % 3;
+      SimTime ahead = SimTime::zero();  // phase 2: the zero-delay relay
+      if (next != 2)
+        ahead = SimTime::micros(
+            static_cast<std::int64_t>(1 + mix_delay(delays) % 12));
+      sim.schedule_at_ranked(sim.now() + ahead, sim.now(), chare,
+                             [this, chare, next] { fire(chare, next); });
+    }
+  };
+  Cell c;
+  for (std::uint64_t chare = 0; chare < kChares; ++chare) c.fire(chare, 0);
+  for (auto _ : state) {
+    for (int i = 0; i < kEngineBatch; ++i)
+      benchmark::DoNotOptimize(c.sim.step());
+  }
+  state.SetItemsProcessed(state.iterations() * kEngineBatch);
+}
+BENCHMARK(BM_EventEngineSameInstantBurst);
+
 // ---------------------------------------------------------- PS core
 
 void BM_CoreProcessorSharing(benchmark::State& state) {

@@ -118,6 +118,24 @@ std::string lb_rules(const CommandLine& line, const Flag& flag) {
   return "";
 }
 
+// The fault spec is parsed here, in the table pass, so a malformed one is
+// rejected under the flag's name before any simulation runs.
+std::string valid_fault_spec(const CommandLine& line, const Flag& flag) {
+  const std::string spec = line.text(flag.name);
+  if (spec.empty()) return "";
+  try {
+    static_cast<void>(FaultPlan::parse(spec));
+  } catch (const CheckFailure& failure) {
+    // Keep the parser's message, not the check's source location.
+    std::string why = failure.what();
+    for (const std::string cut : {" — ", "fault spec: "})
+      if (const auto at = why.find(cut); at != std::string::npos)
+        why = why.substr(at + cut.size());
+    return "--" + std::string{flag.name} + ": " + why;
+  }
+  return "";
+}
+
 std::string required(const CommandLine& line, const Flag& flag) {
   if (!line.text(flag.name).empty()) return "";
   return line.command() + " requires --" + flag.name + "=FILE";
@@ -157,7 +175,8 @@ const Flag kFlags[] = {
      "bursty tenant VMs; they replace the background job unless --with-bg"},
     {"with-bg", kRuns, kBool, "false", {},
      "keep the 2-core background job beside the tenants", needs_partner},
-    {"faults", kRuns, kString, "", {}, "fault spec (docs/fault-injection.md)"},
+    {"faults", kRuns, kString, "", {}, "fault spec (docs/fault-injection.md)",
+     valid_fault_spec},
     {"migration-retries", kRuns, kInt, "0", {.lo = 0},
      "retries of a failed migration, with doubling backoff"},
     {"shards", kRuns, kInt, "1", {.lo = 1}, "event-engine shards", shard_rules},
@@ -261,9 +280,6 @@ ScenarioConfig scenario_from(const CommandLine& line) {
   robustness.estimator_mode = estimator_mode_from_name(line.text("estimator"));
   robustness.forecast_horizon = line.number("forecast-horizon");
   robustness.forecast_margin = line.number("forecast-margin");
-  // Parsed once and dropped, so a malformed spec fails before any
-  // simulation runs; the scenario parses its own copy.
-  if (!config.faults.empty()) static_cast<void>(FaultPlan::parse(config.faults));
   return config;
 }
 
@@ -447,10 +463,13 @@ int print_help(const Command* topic, std::ostream& out) {
   out << "cloudlb " << topic->name << ": " << topic->summary << '\n';
   for (const Flag* flag : cli_flags(topic->name)) {
     const std::string range = range_text(*flag);
-    out << "  --" << flag->name
-        << (flag->kind == kBool ? "" : "=" + std::string{flag->fallback})
-        << "\n      " << flag->help
-        << (range.empty() ? "" : " (" + range + ")") << '\n';
+    // Streamed piecewise: GCC 12 at -O3 reports a false -Wrestrict on
+    // `" (" + range + ")"` here.
+    out << "  --" << flag->name;
+    if (flag->kind != kBool) out << '=' << flag->fallback;
+    out << "\n      " << flag->help;
+    if (!range.empty()) out << " (" << range << ')';
+    out << '\n';
   }
   return 0;
 }

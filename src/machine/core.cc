@@ -39,7 +39,7 @@ const std::string& Core::context_name(ContextId ctx) const {
 }
 
 void Core::demand(ContextId ctx, SimTime cpu_time,
-                  EngineCore::Callback on_complete) {
+                  EngineCore::Callback&& on_complete) {
   CLB_CHECK(ctx >= 0 && static_cast<std::size_t>(ctx) < contexts_.size());
   CLB_CHECK(!cpu_time.is_negative());
   CLB_CHECK(on_complete != nullptr);
@@ -49,8 +49,7 @@ void Core::demand(ContextId ctx, SimTime cpu_time,
   const auto pos = std::lower_bound(
       active_.begin(), active_.end(), ctx,
       [](const Request& r, ContextId c) { return r.ctx < c; });
-  active_.insert(pos,
-                 Request{ctx, cpu_time.to_seconds(), std::move(on_complete)});
+  active_.emplace(pos, ctx, cpu_time.to_seconds(), std::move(on_complete));
   complete_and_reschedule();
 }
 

@@ -65,7 +65,7 @@ class Core {
   /// inline buffer moves from here to the completion event without
   /// touching the heap.
   void demand(ContextId ctx, SimTime cpu_time,
-              EngineCore::Callback on_complete);
+              EngineCore::Callback&& on_complete);
 
   /// Whether `ctx` currently has an unfinished demand.
   bool has_demand(ContextId ctx) const;

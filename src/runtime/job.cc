@@ -187,7 +187,7 @@ void RuntimeJob::recycle_payload(ChareId chare, std::vector<double> buffer) {
 }
 
 void RuntimeJob::route_to(PeId from_pe, PeId to_pe, SimTime base,
-                          SimTime delay, EngineCore::Callback cb) {
+                          SimTime delay, EngineCore::Callback&& cb) {
   const int src_shard = shard_of_pe(from_pe);
   const int dst_shard = shard_of_pe(to_pe);
   if (in_window() && src_shard != dst_shard) {

@@ -309,7 +309,7 @@ class RuntimeJob {
   /// `to_pe`'s engine, through the host's windowed channel when a window
   /// is open and the PEs sit on different shards.
   CLB_SHARD_CONFINED void route_to(PeId from_pe, PeId to_pe, SimTime base,
-                                   SimTime delay, EngineCore::Callback cb);
+                                   SimTime delay, EngineCore::Callback&& cb);
 
   CLB_SHARD_CONFINED void deliver(Message msg);
   /// Runs PE `pe`'s current task once its CPU demand is served.

@@ -7,9 +7,18 @@
 namespace cloudlb {
 
 void EngineCore::compact_queue() {
-  std::erase_if(queue_, [this](const QueueEntry& e) {
+  const auto is_stale = [this](const QueueEntry& e) {
     return slots_[e.slot].gen != e.gen;
-  });
+  };
+  std::erase_if(queue_, is_stale);
+  // The lane stays sorted under removal; its consumed prefix goes too.
+  lane_.erase(std::remove_if(lane_.begin() +
+                                 static_cast<std::ptrdiff_t>(lane_head_),
+                             lane_.end(), is_stale),
+              lane_.end());
+  lane_.erase(lane_.begin(),
+              lane_.begin() + static_cast<std::ptrdiff_t>(lane_head_));
+  lane_head_ = 0;
   // Re-establish the 4-ary heap: sift down every internal node, deepest
   // first (the classic Floyd build, just with fan-out 4).
   if (queue_.size() > 1)
@@ -25,6 +34,16 @@ void EngineCore::validate_integrity() const {
     CLB_CHECK_MSG(!(queue_[parent] > queue_[i]),
                   "heap property violated at entry " << i << " (parent "
                                                      << parent << ")");
+  }
+
+  // Lane shape: strictly ascending keys, all at one instant.
+  for (std::size_t i = lane_head_; i < lane_.size(); ++i) {
+    CLB_CHECK_MSG(lane_[i].time == lane_[lane_head_].time,
+                  "lane entry " << i << " at " << lane_[i].time.to_string()
+                                << " is off the lane instant "
+                                << lane_[lane_head_].time.to_string());
+    CLB_CHECK_MSG(i == lane_head_ || lane_[i] > lane_[i - 1],
+                  "lane out of order at entry " << i);
   }
 
   // Free-list shape: every link in range, no cycles, callbacks cleared.
@@ -46,14 +65,15 @@ void EngineCore::validate_integrity() const {
   // Generation consistency: an entry whose generation matches its slot is
   // the slot's one live occupancy — the slot must be off the free list,
   // hold a callback, and be referenced by exactly one such entry. Every
-  // other entry is stale, and stale_ must account for all of them.
+  // other entry is stale, and stale_ must account for all of them, in
+  // the heap and the lane together.
   std::vector<char> seen_live(slots_.size(), 0);
   std::size_t live_entries = 0;
-  for (const QueueEntry& e : queue_) {
+  const auto audit_entry = [&](const QueueEntry& e) {
     CLB_CHECK_MSG(e.slot < slots_.size(),
                   "queue entry references slot " << e.slot
                                                  << " out of range");
-    if (slots_[e.slot].gen != e.gen) continue;  // stale, skipped lazily
+    if (slots_[e.slot].gen != e.gen) return;  // stale, skipped lazily
     CLB_CHECK_MSG(!on_free_list[e.slot],
                   "live queue entry references freed slot " << e.slot);
     CLB_CHECK_MSG(slots_[e.slot].cb != nullptr,
@@ -62,12 +82,14 @@ void EngineCore::validate_integrity() const {
                   "slot " << e.slot << " referenced by two live entries");
     seen_live[e.slot] = 1;
     ++live_entries;
-  }
+  };
+  for (const QueueEntry& e : queue_) audit_entry(e);
+  for (std::size_t i = lane_head_; i < lane_.size(); ++i) audit_entry(lane_[i]);
   CLB_CHECK_MSG(live_entries == live_,
                 "live-entry count " << live_entries
                                     << " disagrees with live_ " << live_);
-  CLB_CHECK_MSG(queue_.size() - live_entries == stale_,
-                "stale accounting broken: " << queue_.size() - live_entries
+  CLB_CHECK_MSG(queue_size() - live_entries == stale_,
+                "stale accounting broken: " << queue_size() - live_entries
                                             << " stale entries, counter "
                                             << stale_);
 }
@@ -90,17 +112,10 @@ void EngineCore::run_until(SimTime t) {
     ++clock_recoveries_;
     t = now_;
   }
-  while (!queue_.empty()) {
-    // Skip stale (cancelled) heads without advancing the clock.
-    const QueueEntry entry = queue_.front();
-    if (slots_[entry.slot].gen != entry.gen) {
-      drop_stale_head();
-      continue;
-    }
-    if (entry.time > t) break;
-    // The head is live and due, so step() must execute it.
-    CLB_CHECK(step());
-  }
+  // live_head() skips stale (cancelled) heads without advancing the clock.
+  for (const QueueEntry* head = live_head(); head != nullptr && head->time <= t;
+       head = live_head())
+    fire_head(head);
   // The loop exits only with an empty queue or a live head strictly past
   // `t` — events executed above may have scheduled more work at times
   // <= t (e.g. schedule_at(now())), and all of it must have run before
@@ -108,12 +123,11 @@ void EngineCore::run_until(SimTime t) {
   // change can never move now() past an unexecuted pending event. Under
   // kRecover the stragglers are executed (late, clamped to the clock)
   // instead of aborting the run.
-  while (!queue_.empty() && slots_[queue_.front().slot].gen ==
-                                queue_.front().gen &&
-         queue_.front().time <= t) {
+  for (const QueueEntry* head = live_head(); head != nullptr && head->time <= t;
+       head = live_head()) {
     CLB_CHECK_MSG(clock_policy_ == ClockFaultPolicy::kRecover,
                   "run_until would advance the clock past a pending event");
-    CLB_CHECK(step());
+    fire_head(head);
   }
   now_ = t;
   if (validation_enabled()) validate_integrity();
@@ -123,12 +137,10 @@ void EngineCore::run_before(SimTime t) {
   CLB_CHECK_MSG(t >= now_, "run_before(" << t.to_string()
                                          << ") is behind the clock ("
                                          << now_.to_string() << ")");
-  for (;;) {
-    const std::optional<SimTime> next = next_live_time();
-    if (!next || *next >= t) break;
-    // The head is live and strictly inside the window; step() must run it.
-    CLB_CHECK(step());
-  }
+  // Every live head strictly inside the window runs.
+  for (const QueueEntry* head = live_head(); head != nullptr && head->time < t;
+       head = live_head())
+    fire_head(head);
   now_ = t;
   if (validation_enabled()) validate_integrity();
 }

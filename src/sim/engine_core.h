@@ -32,8 +32,9 @@ class EventHandle {
 };
 
 /// The event-engine mechanism: a slot-arena of callbacks addressed by a
-/// 4-ary min-heap of (time, seq) entries, with lazy cancellation and
-/// stale-entry compaction. One EngineCore is one shard's worth of pending
+/// 4-ary min-heap of (time, stamp, rank, seq) entries plus a sorted
+/// current-instant lane beside it, with lazy cancellation and stale-entry
+/// compaction. One EngineCore is one shard's worth of pending
 /// events — `Simulator` wraps exactly one as the single-threaded engine,
 /// and `ShardedSimulator` owns N of them advanced in conservative time
 /// windows (docs/sharded-engine.md). The core itself is single-threaded:
@@ -45,7 +46,11 @@ class EventHandle {
 /// fit the Callback inline buffer — no heap allocation at all. The pending
 /// queue is a 4-ary min-heap: half the depth of a binary heap, and the
 /// four children of a node share a cache line, which is worth ~25% on the
-/// schedule→fire cycle at evaluation-grid queue sizes.
+/// schedule→fire cycle at evaluation-grid queue sizes. Events scheduled at
+/// now() — a third of a stencil run's, mostly zero-delay completion
+/// relays — usually skip the heap: they append to the lane, and every pop
+/// takes the lesser of the lane head and the heap top by the full key, so
+/// the firing order is the one a single heap would give.
 class EngineCore {
  public:
   /// What to do when the clock-consistency invariant is violated — an
@@ -97,9 +102,13 @@ class EngineCore {
   /// pending entries and arena capacity for `slots` callback cells, so
   /// the growth reallocations of a large scenario's setup burst (100k+
   /// PEs schedule one event per entity up front) leave the warm path.
-  /// Never shrinks; purely a capacity hint, invisible to the trace.
+  /// The lane gets an eighth of `events`: it holds one instant's
+  /// zero-delay work, a small share of what is pending (at most 512 of
+  /// the 9216 a 32-core Fig. 2 run presizes). Never shrinks; purely a
+  /// capacity hint, invisible to the trace.
   void reserve(std::size_t events, std::size_t slots) {
     queue_.reserve(events);
+    lane_.reserve(events / 8);
     slots_.reserve(slots);
   }
 
@@ -110,7 +119,11 @@ class EngineCore {
   /// orders identically to a plain (time, seq) heap. The stamp exists for
   /// the sharded runtime, where events reach one engine from several
   /// clocks: see schedule_at_stamped.
-  CLB_WARM_PATH EventHandle schedule_at(SimTime t, Callback cb) {
+  ///
+  /// Every schedule call takes the callback by rvalue reference and moves
+  /// it exactly once, into its arena slot: a closure built at the call
+  /// site is not relocated again on its way in.
+  CLB_WARM_PATH EventHandle schedule_at(SimTime t, Callback&& cb) {
     return schedule_at_ranked(t, now_, inherited_rank(), std::move(cb));
   }
 
@@ -127,7 +140,7 @@ class EngineCore {
   /// The event inherits the executing event's rank (see
   /// schedule_at_ranked and inherited_rank).
   CLB_WARM_PATH EventHandle schedule_at_stamped(SimTime t, SimTime stamp,
-                                                Callback cb) {
+                                                Callback&& cb) {
     return schedule_at_ranked(t, stamp, inherited_rank(), std::move(cb));
   }
 
@@ -144,7 +157,7 @@ class EngineCore {
   /// carries 0, where ordering degenerates to (time, stamp, seq).
   CLB_WARM_PATH EventHandle schedule_at_ranked(SimTime t, SimTime stamp,
                                                std::uint64_t rank,
-                                               Callback cb) {
+                                               Callback&& cb) {
     CLB_CHECK_MSG(t >= now_, "event scheduled in the past: t="
                                  << t.to_string()
                                  << " now=" << now_.to_string());
@@ -155,7 +168,8 @@ class EngineCore {
     const std::uint32_t slot = acquire_slot();
     Slot& s = slots_[slot];
     s.cb = std::move(cb);
-    push_entry(QueueEntry{t, stamp, rank, next_seq_++, slot, s.gen});
+    const QueueEntry e{t, stamp, rank, next_seq_++, slot, s.gen};
+    if (t != now_ || !lane_insert(e)) push_entry(e);
     ++live_;
     return EventHandle{slot, s.gen};
   }
@@ -189,7 +203,7 @@ class EngineCore {
   void set_current_rank(std::uint64_t rank) { current_rank_ = rank; }
 
   /// Schedules `cb` at now() + delay (delay must be >= 0).
-  CLB_WARM_PATH EventHandle schedule_after(SimTime delay, Callback cb) {
+  CLB_WARM_PATH EventHandle schedule_after(SimTime delay, Callback&& cb) {
     CLB_CHECK(!delay.is_negative());
     return schedule_at(now_ + delay, std::move(cb));
   }
@@ -207,77 +221,17 @@ class EngineCore {
     // schedule/cancel cycles (re-armed periodic timers) would then grow the
     // queue without bound: compact once stale entries outnumber live ones.
     ++stale_;
-    if (queue_.size() > kCompactionFloor && stale_ * 2 > queue_.size())
-      compact_queue();
+    const std::size_t held = queue_size();
+    if (held > kCompactionFloor && stale_ * 2 > held) compact_queue();
     return true;
   }
 
   /// Executes the next pending event. Returns false if none remain.
   [[nodiscard]] CLB_WARM_PATH bool step() {
-    while (!queue_.empty()) {
-      const QueueEntry entry = queue_.front();
-      if (slots_[entry.slot].gen != entry.gen) {  // cancelled
-        drop_stale_head();
-        continue;
-      }
-      pop_entry();
-      // Move the callback out and release the slot *before* invoking: the
-      // callback may itself schedule (possibly into this very slot, at a
-      // fresh generation) or cancel events, and scheduling may grow the
-      // slot vector, so the callable must not run from arena storage.
-      Callback cb = std::move(slots_[entry.slot].cb);
-      release_slot(entry.slot);
-      if (entry.time < now_) {
-        // A live event behind the clock: only possible when timestamps
-        // were perturbed (fault_advance_clock) or the engine is broken.
-        // Strict mode fails loudly in every build type; recover mode runs
-        // the event late, at the current clock, so time never regresses.
-        if (clock_policy_ == ClockFaultPolicy::kStrict) {
-          CLB_CHECK_MSG(entry.time >= now_,
-                        "event due at " << entry.time.to_string()
-                                        << " fired behind the clock ("
-                                        << now_.to_string() << ")");
-        }
-        ++clock_recoveries_;
-      } else {
-        now_ = entry.time;
-      }
-      ++executed_;
-      last_event_time_ = now_;
-      if (validation_enabled()) {
-        // The heap contract: events fire in strictly increasing
-        // (time, stamp, rank, seq) order — the determinism fingerprint
-        // every golden digest depends on. Holds for any clock policy,
-        // since faults perturb the clock, never the queue order.
-        const bool monotone =
-            last_fired_time_ < entry.time ||
-            (last_fired_time_ == entry.time &&
-             (last_fired_stamp_ < entry.stamp ||
-              (last_fired_stamp_ == entry.stamp &&
-               (last_fired_rank_ < entry.rank ||
-                (last_fired_rank_ == entry.rank &&
-                 last_fired_seq_ < entry.seq)))));
-        CLB_CHECK_MSG(monotone,
-                      "trace sequence not monotone: ("
-                          << entry.time.to_string() << ", stamp "
-                          << entry.stamp.to_string() << ", rank " << entry.rank
-                          << ", seq " << entry.seq << ") fired after ("
-                          << last_fired_time_.to_string() << ", stamp "
-                          << last_fired_stamp_.to_string() << ", rank "
-                          << last_fired_rank_ << ", seq " << last_fired_seq_
-                          << ")");
-        last_fired_time_ = entry.time;
-        last_fired_stamp_ = entry.stamp;
-        last_fired_rank_ = entry.rank;
-        last_fired_seq_ = entry.seq;
-      }
-      if (trace_) trace_(entry.time, entry.seq);
-      current_rank_ = entry.rank;
-      cb();
-      current_rank_ = 0;
-      return true;
-    }
-    return false;
+    const QueueEntry* head = live_head();
+    if (head == nullptr) return false;
+    fire_head(head);
+    return true;
   }
 
   /// Runs until the event queue drains.
@@ -347,16 +301,12 @@ class EngineCore {
   };
 
   /// Key of the earliest live (non-cancelled) pending event, or nullopt
-  /// when none remain. Sheds stale heads off the heap as a side effect
-  /// (bookkeeping only; the trace is untouched).
+  /// when none remain. Sheds stale heads off the heap and the lane as a
+  /// side effect (bookkeeping only; the trace is untouched).
   [[nodiscard]] std::optional<EventKey> next_live_key() {
-    while (!queue_.empty()) {
-      const QueueEntry& head = queue_.front();
-      if (slots_[head.slot].gen == head.gen)
-        return EventKey{head.time, head.stamp, head.rank};
-      drop_stale_head();
-    }
-    return std::nullopt;
+    const QueueEntry* head = live_head();
+    if (head == nullptr) return std::nullopt;
+    return EventKey{head->time, head->stamp, head->rank};
   }
 
   /// Timestamp of the earliest live pending event (see next_live_key).
@@ -369,10 +319,13 @@ class EngineCore {
   /// Number of events scheduled but not yet fired or cancelled.
   [[nodiscard]] std::size_t pending() const { return live_; }
 
-  /// Heap entries currently held, including stale (cancelled) ones waiting
-  /// to be skipped or compacted away. Bounded at < 2·pending() + a small
-  /// floor even under adversarial schedule/cancel churn.
-  [[nodiscard]] std::size_t queue_size() const { return queue_.size(); }
+  /// Queue entries currently held by the heap and the lane together,
+  /// including stale (cancelled) ones waiting to be skipped or compacted
+  /// away. Bounded at < 2·pending() + a small floor even under adversarial
+  /// schedule/cancel churn.
+  [[nodiscard]] std::size_t queue_size() const {
+    return queue_.size() + (lane_.size() - lane_head_);
+  }
 
   /// Callback slots allocated (monitoring; slots are recycled, so this
   /// tracks the high-water mark of concurrently pending events).
@@ -389,9 +342,10 @@ class EngineCore {
 
   /// Deep structural audit of the engine (validation_enabled() gates the
   /// automatic call sites; calling it directly is always allowed): 4-ary
-  /// heap property over the pending queue, slot-arena free-list shape
-  /// (in-range, acyclic, callbacks cleared), generation consistency
-  /// between queue entries and slots, and the live/stale accounting.
+  /// heap property over the pending queue, the lane's strict key order
+  /// and single instant, slot-arena free-list shape (in-range, acyclic,
+  /// callbacks cleared), generation consistency between the entries of
+  /// both containers and the slots, and the live/stale accounting.
   /// Throws CheckFailure on the first violated invariant.
   void validate_integrity() const;
 
@@ -429,6 +383,136 @@ class EngineCore {
   // handful of stale heads is cheaper than rebuilding the heap.
   static constexpr std::size_t kCompactionFloor = 64;
 
+  // Most lane entries an insert may shift to keep the lane sorted. An
+  // entry that belongs further forward goes to the heap instead, so a
+  // burst arriving in reverse key order costs heap pushes, not a
+  // quadratic run of shifts.
+  static constexpr std::size_t kLaneMaxShift = 8;
+
+  // --- The current-instant lane: lane_[lane_head_, end) holds entries
+  // that all share one instant, in strictly ascending key order. Only
+  // events scheduled at now() enter it, and only while it is empty or
+  // already at that instant; the consumed prefix [0, lane_head_) is
+  // reclaimed when the lane drains or before it would reallocate.
+
+  /// Inserts `e` (due at now()) into the lane; false when it must go to
+  /// the heap: the lane holds another instant, or `e` belongs more than
+  /// kLaneMaxShift entries from the back.
+  CLB_WARM_PATH bool lane_insert(const QueueEntry& e) {
+    std::size_t pos = lane_.size();
+    if (pos != lane_head_ && lane_.back().time != e.time) return false;
+    for (std::size_t shifts = 0; pos != lane_head_ && lane_[pos - 1] > e;
+         --pos) {
+      if (++shifts > kLaneMaxShift) return false;
+    }
+    if (lane_.size() == lane_.capacity() && lane_head_ > 0) {
+      // About to grow: drop the consumed prefix instead, so a long chain
+      // of zero-delay events at one instant runs in bounded memory.
+      lane_.erase(lane_.begin(),
+                  lane_.begin() + static_cast<std::ptrdiff_t>(lane_head_));
+      pos -= lane_head_;
+      lane_head_ = 0;
+    }
+    lane_.insert(lane_.begin() + static_cast<std::ptrdiff_t>(pos), e);
+    return true;
+  }
+
+  CLB_WARM_PATH void pop_lane() {
+    if (++lane_head_ == lane_.size()) {
+      lane_.clear();  // drained: restart at the front, keeping capacity
+      lane_head_ = 0;
+    }
+  }
+
+  /// The lesser live head of the lane and the heap by the full key, or
+  /// null when nothing is pending. Stale heads met on the way are shed
+  /// and retired from the stale ledger.
+  CLB_WARM_PATH const QueueEntry* live_head() {
+    for (;;) {
+      const QueueEntry* head;
+      if (lane_head_ != lane_.size() &&
+          (queue_.empty() || queue_.front() > lane_[lane_head_])) {
+        head = &lane_[lane_head_];
+      } else if (!queue_.empty()) {
+        head = &queue_.front();
+      } else {
+        return nullptr;
+      }
+      if (slots_[head->slot].gen == head->gen) return head;
+      pop_head(head);
+      retire_stale();
+    }
+  }
+
+  /// Removes `head`, the front of the heap or of the lane.
+  CLB_WARM_PATH void pop_head(const QueueEntry* head) {
+    if (head == queue_.data()) {
+      pop_entry();
+    } else {
+      pop_lane();
+    }
+  }
+
+  /// Pops `head` (live_head's result) off its container and runs it.
+  CLB_WARM_PATH void fire_head(const QueueEntry* head) {
+    const QueueEntry entry = *head;
+    pop_head(head);
+    // Move the callback out and release the slot *before* invoking: the
+    // callback may itself schedule (possibly into this very slot, at a
+    // fresh generation) or cancel events, and scheduling may grow the
+    // slot vector, so the callable must not run from arena storage.
+    Callback cb = std::move(slots_[entry.slot].cb);
+    release_slot(entry.slot);
+    if (entry.time < now_) {
+      // A live event behind the clock: only possible when timestamps
+      // were perturbed (fault_advance_clock) or the engine is broken.
+      // Strict mode fails loudly in every build type; recover mode runs
+      // the event late, at the current clock, so time never regresses.
+      if (clock_policy_ == ClockFaultPolicy::kStrict) {
+        CLB_CHECK_MSG(entry.time >= now_,
+                      "event due at " << entry.time.to_string()
+                                      << " fired behind the clock ("
+                                      << now_.to_string() << ")");
+      }
+      ++clock_recoveries_;
+    } else {
+      now_ = entry.time;
+    }
+    ++executed_;
+    last_event_time_ = now_;
+    if (validation_enabled()) {
+      // The order contract: events fire in strictly increasing
+      // (time, stamp, rank, seq) order — the determinism fingerprint
+      // every golden digest depends on. Holds for any clock policy,
+      // since faults perturb the clock, never the queue order.
+      const bool monotone =
+          last_fired_time_ < entry.time ||
+          (last_fired_time_ == entry.time &&
+           (last_fired_stamp_ < entry.stamp ||
+            (last_fired_stamp_ == entry.stamp &&
+             (last_fired_rank_ < entry.rank ||
+              (last_fired_rank_ == entry.rank &&
+               last_fired_seq_ < entry.seq)))));
+      CLB_CHECK_MSG(monotone,
+                    "trace sequence not monotone: ("
+                        << entry.time.to_string() << ", stamp "
+                        << entry.stamp.to_string() << ", rank " << entry.rank
+                        << ", seq " << entry.seq << ") fired after ("
+                        << last_fired_time_.to_string() << ", stamp "
+                        << last_fired_stamp_.to_string() << ", rank "
+                        << last_fired_rank_ << ", seq " << last_fired_seq_
+                        << ")");
+      last_fired_time_ = entry.time;
+      last_fired_stamp_ = entry.stamp;
+      last_fired_rank_ = entry.rank;
+      last_fired_seq_ = entry.seq;
+    }
+    if (trace_) trace_(entry.time, entry.seq);
+    current_rank_ = entry.rank;
+    cb();
+    current_rank_ = 0;
+  }
+
   // --- 4-ary min-heap over queue_ (manual layout so cancellation can
   // compact stale entries in place, which a std::priority_queue cannot).
 
@@ -450,15 +534,14 @@ class EngineCore {
     if (queue_.size() > 1) sift_down(0);
   }
 
-  /// Pops the stale head entry and retires it from the stale ledger.
-  /// Every stale entry was counted by exactly one cancel(), so finding
-  /// the ledger at zero here means the accounting drifted — an engine
-  /// bug. That used to be clamped away (`if (stale_ > 0)`), which let an
-  /// undercount ride silently until compaction resynced it; now it is an
-  /// integrity failure in every build type, same as validate_integrity()
-  /// would report.
-  CLB_WARM_PATH void drop_stale_head() {
-    pop_entry();
+  /// Retires one shed stale entry from the stale ledger. Every stale
+  /// entry was counted by exactly one cancel(), so finding the ledger at
+  /// zero here means the accounting drifted — an engine bug. That used to
+  /// be clamped away (`if (stale_ > 0)`), which let an undercount ride
+  /// silently until compaction resynced it; now it is an integrity
+  /// failure in every build type, same as validate_integrity() would
+  /// report.
+  CLB_WARM_PATH void retire_stale() {
     CLB_CHECK_MSG(stale_ > 0,
                   "stale-entry ledger underflow: skipping a cancelled head "
                   "with stale_ == 0 (accounting drifted)");
@@ -518,7 +601,9 @@ class EngineCore {
   ClockFaultPolicy clock_policy_ = ClockFaultPolicy::kStrict;
   std::uint64_t clock_recoveries_ = 0;
   std::vector<QueueEntry> queue_;
-  std::size_t stale_ = 0;  ///< cancelled entries still sitting in queue_
+  std::vector<QueueEntry> lane_;  ///< the current-instant lane (above)
+  std::size_t lane_head_ = 0;     ///< first unconsumed lane entry
+  std::size_t stale_ = 0;  ///< cancelled entries still in queue_ or lane_
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNoSlot;
   std::size_t live_ = 0;

@@ -40,7 +40,8 @@ void ShardedSimulator::check_shard_access(int shard, const char* what) const {
              "interaction must go through post())");
 }
 
-void ShardedSimulator::post(int src, int dst, SimTime latency, Callback cb) {
+void ShardedSimulator::post(int src, int dst, SimTime latency,
+                            Callback&& cb) {
   check_shard_access(src, "post from");
   CLB_CHECK_MSG(dst >= 0 && dst < shards(),
                 "post to shard out of range: " << dst);

@@ -111,7 +111,8 @@ class ShardedSimulator {
   /// conservative-window safety condition — and buffer into the src
   /// mailbox until the next barrier; a post to the own shard (src == dst)
   /// schedules directly with no latency floor, like same-node traffic.
-  CLB_SHARD_CONFINED void post(int src, int dst, SimTime latency, Callback cb);
+  CLB_SHARD_CONFINED void post(int src, int dst, SimTime latency,
+                               Callback&& cb);
 
   /// Presize hints forwarded to every shard (EngineCore::reserve).
   CLB_BARRIER_PHASE void reserve(std::size_t events_per_shard,

@@ -25,7 +25,7 @@ const VirtualMachine::VCpu& VirtualMachine::vcpu(int v) const {
 CoreId VirtualMachine::core_of(int v) const { return vcpu(v).core; }
 
 void VirtualMachine::demand(int v, SimTime cpu_time,
-                            EngineCore::Callback on_complete) {
+                            EngineCore::Callback&& on_complete) {
   const VCpu& vc = vcpu(v);
   machine_.core(vc.core).demand(vc.ctx, cpu_time, std::move(on_complete));
 }

@@ -30,7 +30,7 @@ class VirtualMachine {
   CoreId core_of(int vcpu) const;
 
   /// Requests CPU consumption on a vCPU (see Core::demand).
-  void demand(int vcpu, SimTime cpu_time, EngineCore::Callback on_complete);
+  void demand(int vcpu, SimTime cpu_time, EngineCore::Callback&& on_complete);
 
   bool has_demand(int vcpu) const;
 

@@ -684,6 +684,8 @@ std::vector<std::string> illegal_args(const Flag& flag) {
       break;
     case FlagKind::kString:
       if (r.names != nullptr) values = {"bogus"};
+      if (std::string{flag.name} == "faults")  // an unknown model, a bad value
+        values = {"bogus", "spike(core=1,start=0.01,duration=-0.02)"};
       break;
     case FlagKind::kStringList:
       values = {"bogus", "", r.names ? r.names()[0] + "," : ","};
@@ -789,7 +791,7 @@ void run_flag_grid(const std::string& command) {
       // Cells run concurrently, so each record writes its own trace.
       for (std::string& arg : runs.back())
         if (flag_of(arg) == "--out")
-          arg += "." + std::to_string(runs.size());
+          arg += '.' + std::to_string(runs.size());
     }
   }
   // A value no partner can make legal must be a rule's on its own

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstdint>
+#include <functional>
 #include <new>
 
 #include "apps/jacobi2d.h"
@@ -166,6 +167,63 @@ TEST(SimAllocTest, ScheduleCancelChurnIsAllocationFree) {
   EXPECT_EQ(allocs, 0u);
   EXPECT_TRUE(sim.cancel(armed));
   sim.run();
+}
+
+TEST(SimAllocTest, ZeroDelayChurnIsAllocationFree) {
+  // Events scheduled at now() ride the current-instant lane. Each of
+  // kBatch lane events re-schedules itself at the same instant, so the
+  // lane keeps kBatch live entries while its consumed prefix grows: the
+  // lane must reclaim that prefix instead of reallocating, so a measured
+  // burst four times longer than the warm-up ones still fits. Every
+  // fourth burst uses descending ranks, which the lane's bounded insert
+  // sends to the heap.
+  Simulator sim;
+  std::uint64_t fired = 0;
+  int hops_left = 0;
+  std::function<void()> hop;  // never copied into the engine
+  auto burst = [&](int round, int hops) {
+    hops_left = hops;
+    sim.schedule_after(SimTime::nanos(1), [&, round] {
+      for (int i = 0; i < kBatch; ++i) {
+        const std::uint64_t rank =
+            round % 4 == 0 ? static_cast<std::uint64_t>(kBatch - i) : 0;
+        sim.schedule_at_ranked(sim.now(), sim.now(), rank, [&hop] { hop(); });
+      }
+    });
+    while (sim.step()) {
+    }
+  };
+  hop = [&] {
+    ++fired;
+    if (hops_left-- > 0)
+      sim.schedule_after(SimTime::zero(), [&hop] { hop(); });
+  };
+  for (int round = 0; round < 4; ++round) burst(round, 8 * kBatch);
+
+  fired = 0;
+  probe_arm();
+  for (int round = 0; round < 8; ++round) burst(round, 32 * kBatch);
+  const std::size_t allocs = probe_disarm();
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(fired, 8u * 33 * kBatch);
+}
+
+TEST(SimAllocTest, ReservePresizesTheLane) {
+  // reserve(events, slots) gives the lane an eighth of `events`: a cold,
+  // presized engine takes that many zero-delay events without
+  // allocating.
+  Simulator sim;
+  sim.reserve(8 * kBatch, kBatch);
+
+  std::uint64_t fired = 0;
+  probe_arm();
+  for (int i = 0; i < kBatch; ++i)
+    sim.schedule_after(SimTime::zero(), [&fired] { ++fired; });
+  while (sim.step()) {
+  }
+  const std::size_t allocs = probe_disarm();
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(fired, static_cast<std::uint64_t>(kBatch));
 }
 
 TEST(SimAllocTest, OverBudgetCaptureFallsBackToHeap) {

@@ -32,6 +32,9 @@ struct SimulatorTestAccess {
   static std::vector<Simulator::QueueEntry>& queue(Simulator& sim) {
     return sim.queue_;
   }
+  static std::vector<Simulator::QueueEntry>& lane(Simulator& sim) {
+    return sim.lane_;
+  }
   static std::vector<Simulator::Slot>& slots(Simulator& sim) {
     return sim.slots_;
   }
@@ -177,6 +180,41 @@ TEST(SimulatorValidateTest, StaleLedgerUnderflowIsCaught) {
   sim.schedule_at(SimTime::micros(2), [] {});
   ASSERT_TRUE(sim.cancel(doomed));
   SimulatorTestAccess::stale(sim) = 0;  // the corruption under test
+  EXPECT_THROW(sim.run(), CheckFailure);
+}
+
+// The lane's invariants: strictly ascending keys, one instant, and its
+// stale entries on the same ledger as the heap's.
+TEST(SimulatorValidateTest, OutOfOrderLaneIsCaught) {
+  Simulator sim;
+  sim.schedule_after(SimTime::zero(), [] {});
+  sim.schedule_after(SimTime::zero(), [] {});
+  auto& lane = SimulatorTestAccess::lane(sim);
+  ASSERT_EQ(lane.size(), 2u);
+  sim.validate_integrity();
+  std::swap(lane[0], lane[1]);  // seq now runs backwards
+  EXPECT_THROW(sim.validate_integrity(), CheckFailure);
+}
+
+TEST(SimulatorValidateTest, LaneEntryOffItsInstantIsCaught) {
+  Simulator sim;
+  sim.schedule_after(SimTime::zero(), [] {});
+  sim.schedule_after(SimTime::zero(), [] {});
+  auto& lane = SimulatorTestAccess::lane(sim);
+  ASSERT_EQ(lane.size(), 2u);
+  lane[1].time = SimTime::micros(5);  // still sorted, but another instant
+  EXPECT_THROW(sim.validate_integrity(), CheckFailure);
+}
+
+TEST(SimulatorValidateTest, LaneStaleLedgerUnderflowIsCaught) {
+  Simulator sim;
+  const EventHandle doomed = sim.schedule_after(SimTime::zero(), [] {});
+  sim.schedule_after(SimTime::zero(), [] {});
+  ASSERT_EQ(SimulatorTestAccess::lane(sim).size(), 2u);
+  ASSERT_TRUE(sim.cancel(doomed));
+  sim.validate_integrity();
+  SimulatorTestAccess::stale(sim) = 0;  // the corruption under test
+  EXPECT_THROW(sim.validate_integrity(), CheckFailure);
   EXPECT_THROW(sim.run(), CheckFailure);
 }
 
