@@ -262,8 +262,7 @@ std::vector<Mol3dCell> mol3d_default_cells() {
   return cells;
 }
 
-template <auto Kernel>
-void BM_Mol3dKernel(benchmark::State& state) {
+void BM_Mol3dKernel(benchmark::State& state, Mol3dForcesFn kernel) {
   const Mol3dConfig config;
   const std::vector<Mol3dCell> cells = mol3d_default_cells();
   std::vector<Mol3dGhosts> ghosts(cells.size());
@@ -272,21 +271,38 @@ void BM_Mol3dKernel(benchmark::State& state) {
   Mol3dForces forces;
   std::size_t c = 0;
   for (auto _ : state) {
-    Kernel(cells[c].particles, ghosts[c], config, forces);
+    kernel(cells[c].particles, ghosts[c], config, forces);
     benchmark::DoNotOptimize(forces.fx.data());
     benchmark::ClobberMemory();
     c = c + 1 == cells.size() ? 0 : c + 1;
   }
 }
 
+// The kernel mol3d_forces runs (the widest the host supports), then each
+// width on its own.
 void BM_Mol3dForces(benchmark::State& state) {
-  BM_Mol3dKernel<mol3d_forces>(state);
+  BM_Mol3dKernel(state, mol3d_forces);
 }
 BENCHMARK(BM_Mol3dForces)->Unit(benchmark::kMicrosecond);
 
+void BM_Mol3dForcesTwoLane(benchmark::State& state) {
+  BM_Mol3dKernel(state, mol3d_kernels().two_lane);
+}
+BENCHMARK(BM_Mol3dForcesTwoLane)->Unit(benchmark::kMicrosecond);
+
+void BM_Mol3dForcesAvx2(benchmark::State& state) {
+  const Mol3dForcesFn avx2 = mol3d_kernels().avx2;
+  if (avx2 == nullptr) {
+    state.SkipWithError("the host cannot run AVX2");
+    return;
+  }
+  BM_Mol3dKernel(state, avx2);
+}
+BENCHMARK(BM_Mol3dForcesAvx2)->Unit(benchmark::kMicrosecond);
+
 // The retained scalar loop the kernel must match bit for bit.
 void BM_Mol3dForcesReference(benchmark::State& state) {
-  BM_Mol3dKernel<mol3d_reference_forces>(state);
+  BM_Mol3dKernel(state, mol3d_reference_forces);
 }
 BENCHMARK(BM_Mol3dForcesReference)->Unit(benchmark::kMicrosecond);
 

@@ -1,7 +1,6 @@
 #include "apps/mol3d.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -13,8 +12,6 @@
 namespace cloudlb {
 
 namespace {
-
-enum MolTag : int { kMolGhost = 1, kMolCompute = 2 };
 
 /// Periodic wrap into [0, box). A moved particle lies in (−box, 2·box),
 /// where one add or subtract gives fmod's result exactly: fmod returns v
@@ -31,6 +28,12 @@ double wrap(double v, double box) {
   return v < 0 ? v + box : v;
 }
 
+/// True when v is a whole number in [0, limit). Message headers travel as
+/// doubles; this is what makes their conversion to an index defined.
+bool whole_below(double v, double limit) {
+  return v >= 0.0 && v < limit && v == std::floor(v);
+}
+
 /// Minimum-image displacement on one periodic axis.
 double min_image(double d, double box) {
   if (d > 0.5 * box) return d - box;
@@ -38,27 +41,33 @@ double min_image(double d, double box) {
   return d;
 }
 
-/// Two doubles in one SSE2 register, and the lane masks their comparisons
-/// yield (GCC/Clang vector extensions).
+/// Doubles in one register, and the lane masks their comparisons yield
+/// (GCC/Clang vector extensions): two lanes for the x86-64 baseline (SSE2),
+/// four for AVX2. A 32-byte vector passed or returned by value changes the
+/// calling convention outside AVX code, so the helpers below take vectors
+/// by reference and the casts are builtins, not calls.
 using V2d = double __attribute__((vector_size(16)));
 using V2i = std::int64_t __attribute__((vector_size(16)));
+using V4d = double __attribute__((vector_size(32)));
+using V4i = std::int64_t __attribute__((vector_size(32)));
 
-V2d load2(const double* p) {
-  V2d v;
-  std::memcpy(&v, p, sizeof v);
-  return v;
+/// Sets every lane of v to x (no arithmetic, so −0.0 and NaN keep their
+/// bits).
+template <class V>
+[[gnu::always_inline]] inline void splat(V& v, double x) {
+  for (std::size_t l = 0; l < sizeof v / sizeof x; ++l) v[l] = x;
 }
 
-void store2(double* p, V2d v) { std::memcpy(p, &v, sizeof v); }
-
-/// min_image on two lanes, equal bit for bit to the scalar branch in each:
+/// min_image on every lane, equal bit for bit to the scalar branch in each:
 /// d − a, where the masks pick a = box, −box or +0.0. Subtracting keeps it
 /// exact: d − (+0.0) is d for every d, −0.0 included (an added +0.0 would
 /// turn −0.0 into +0.0), and d − (−box) is d + box by definition.
-V2d min_image(V2d d, V2d box, V2d half) {
-  const V2i a = ((d > half) & std::bit_cast<V2i>(box)) |
-                ((d < -half) & std::bit_cast<V2i>(-box));
-  return d - std::bit_cast<V2d>(a);
+template <class V, class I>
+[[gnu::always_inline]] inline void min_image(V& d, const V& box,
+                                             const V& half) {
+  const I a = ((d > half) & __builtin_bit_cast(I, box)) |
+              ((d < -half) & __builtin_bit_cast(I, -box));
+  d -= __builtin_bit_cast(V, a);
 }
 
 /// Scratch for mol3d_forces. One per host thread, not per chare: a thread
@@ -66,16 +75,28 @@ V2d min_image(V2d d, V2d box, V2d half) {
 /// keep the capacity of their largest computation.
 struct ForceScratch {
   /// Positions: the particles, then every ghost in (side, k) order, then
-  /// one padding slot so a two-lane pass may start at any index.
+  /// W − 1 padding slots so a W-lane pass may start at any index.
   std::vector<double> x, y, z;
-  std::vector<double> dx, dy, dz, r2;  ///< displacements from one particle
-  std::vector<std::size_t> hits;       ///< indices within the cutoff, in order
+  std::vector<double> dx, dy, dz;  ///< one row's displacements, by index
+  /// One row's hits in index order: r², f/r and the index.
+  std::vector<double> r2, f;
+  std::vector<std::size_t> hits;
 };
 
-}  // namespace
+/// The calling thread's scratch, shared by both widths.
+ForceScratch& force_scratch() {
+  thread_local ForceScratch s;
+  return s;
+}
 
-void mol3d_forces(std::span<const Particle> particles, const Mol3dGhosts& ghosts,
-                  const Mol3dConfig& config, Mol3dForces& out) {
+/// The force kernel at W = sizeof(V) / sizeof(double) lanes. Instantiated
+/// once per width, each inside the function that enables its instruction
+/// set, so every width runs the same expressions in the same order.
+template <class V, class I>
+[[gnu::always_inline]] inline void forces_body(
+    std::span<const Particle> particles, const Mol3dGhosts& ghosts,
+    const Mol3dConfig& config, Mol3dForces& out) {
+  constexpr std::size_t W = sizeof(V) / sizeof(double);
   const double box[3] = {static_cast<double>(config.cells_x),
                          static_cast<double>(config.cells_y),
                          static_cast<double>(config.cells_z)};
@@ -83,13 +104,6 @@ void mol3d_forces(std::span<const Particle> particles, const Mol3dGhosts& ghosts
   const double sigma2 = config.sigma * config.sigma;
   // Clamp r² from below to cap the force singularity at overlap.
   const double r2_min = 0.25 * sigma2;
-  // d(LJ)/dr / r for a pair within the cutoff: positive = repulsive.
-  const auto f_over_r = [&](double r2) {
-    r2 = std::max(r2, r2_min);
-    const double s2 = sigma2 / r2;
-    const double s6 = s2 * s2 * s2;
-    return 24.0 * config.epsilon * (2.0 * s6 * s6 - s6) / r2;
-  };
 
   const std::size_t n = particles.size();
   std::vector<double>& fx = out.fx;
@@ -99,12 +113,15 @@ void mol3d_forces(std::span<const Particle> particles, const Mol3dGhosts& ghosts
   fy.assign(n, 0.0);
   fz.assign(n, 0.0);
 
-  thread_local ForceScratch s;
+  ForceScratch& s = force_scratch();
   std::size_t end = n;
   for (const auto& side : ghosts) end += side.size() / 3;
-  for (auto* v : {&s.x, &s.y, &s.z, &s.dx, &s.dy, &s.dz, &s.r2})
-    v->resize(end + 1);
-  s.hits.resize(end);
+  // A row writes each lane at the hit cursor before it knows whether the
+  // lane hit, and evaluates f/r up to W − 1 entries past the last hit:
+  // end + W − 1 slots cover both, as they cover the padded positions.
+  for (auto* v : {&s.x, &s.y, &s.z, &s.dx, &s.dy, &s.dz, &s.r2, &s.f})
+    v->resize(end + W - 1);
+  s.hits.resize(end + W - 1);
   for (std::size_t i = 0; i < n; ++i) {
     s.x[i] = particles[i].x;
     s.y[i] = particles[i].y;
@@ -117,53 +134,137 @@ void mol3d_forces(std::span<const Particle> particles, const Mol3dGhosts& ghosts
       s.y[k] = side[t + 1];
       s.z[k] = side[t + 2];
     }
-  s.x[end] = s.y[end] = s.z[end] = 0.0;
+  for (std::size_t p = end; p < end + W - 1; ++p)
+    s.x[p] = s.y[p] = s.z[p] = 0.0;
 
-  // Row m pairs particle m with every later particle and every ghost: a
-  // two-lane distance pass, a branch-free compaction of the indices within
-  // the cutoff, then the forces in index order. Particle m's sum thus
-  // takes −c(i, m) for i < m (from earlier rows), then +c(m, j) for j > m,
-  // then the ghosts in (side, k) order: the scalar pair loop's order.
-  const V2d box_x = {box[0], box[0]}, half_x = 0.5 * box_x;
-  const V2d box_y = {box[1], box[1]}, half_y = 0.5 * box_y;
-  const V2d box_z = {box[2], box[2]}, half_z = 0.5 * box_z;
+  const double* const x = s.x.data();
+  const double* const y = s.y.data();
+  const double* const z = s.z.data();
+  double* const dx_j = s.dx.data();
+  double* const dy_j = s.dy.data();
+  double* const dz_j = s.dz.data();
+  double* const hit_r2 = s.r2.data();
+  double* const hit_f = s.f.data();
+  std::size_t* const hit_j = s.hits.data();
+
+  V box_x{}, box_y{}, box_z{}, rc2_v{}, r2_min_v{}, sigma2_v{}, eps24_v{};
+  splat(box_x, box[0]);
+  splat(box_y, box[1]);
+  splat(box_z, box[2]);
+  splat(rc2_v, rc2);
+  splat(r2_min_v, r2_min);
+  splat(sigma2_v, sigma2);
+  splat(eps24_v, 24.0 * config.epsilon);
+  const V half_x = 0.5 * box_x, half_y = 0.5 * box_y, half_z = 0.5 * box_z;
+
+  // Row m pairs particle m with every later particle and every ghost. A
+  // W-lane distance pass stores the displacements by index, writes each
+  // lane's r² and index at the hit cursor and advances it by the lane's
+  // hit mask; f/r is then evaluated W hits at a time, and the forces
+  // summed in index order.
+  // Particle m's sum thus takes −c(i, m) for i < m (from earlier rows),
+  // then +c(m, j) for j > m, then the ghosts in (side, k) order: the
+  // scalar pair loop's order.
   for (std::size_t m = 0; m < n; ++m) {
-    const V2d px = {s.x[m], s.x[m]};
-    const V2d py = {s.y[m], s.y[m]};
-    const V2d pz = {s.z[m], s.z[m]};
-    for (std::size_t j = m + 1; j < end; j += 2) {
-      const V2d dx = min_image(px - load2(&s.x[j]), box_x, half_x);
-      const V2d dy = min_image(py - load2(&s.y[j]), box_y, half_y);
-      const V2d dz = min_image(pz - load2(&s.z[j]), box_z, half_z);
-      store2(&s.dx[j], dx);
-      store2(&s.dy[j], dy);
-      store2(&s.dz[j], dz);
-      store2(&s.r2[j], dx * dx + dy * dy + dz * dz);
-    }
-    // !(r2 >= rc2), not r2 < rc2: a NaN distance counts, as it always has.
-    // The loop stops at `end`, so the padding slot is never a hit.
+    V px{}, py{}, pz{};
+    splat(px, x[m]);
+    splat(py, y[m]);
+    splat(pz, z[m]);
     std::size_t hits = 0;
-    for (std::size_t j = m + 1; j < end; ++j) {
-      s.hits[hits] = j;
-      hits += static_cast<std::size_t>(!(s.r2[j] >= rc2));
+    for (std::size_t j = m + 1; j < end; j += W) {
+      V dx{}, dy{}, dz{};
+      std::memcpy(&dx, x + j, sizeof dx);
+      std::memcpy(&dy, y + j, sizeof dy);
+      std::memcpy(&dz, z + j, sizeof dz);
+      dx = px - dx;
+      dy = py - dy;
+      dz = pz - dz;
+      min_image<V, I>(dx, box_x, half_x);
+      min_image<V, I>(dy, box_y, half_y);
+      min_image<V, I>(dz, box_z, half_z);
+      const V r2 = dx * dx + dy * dy + dz * dz;
+      std::memcpy(dx_j + j, &dx, sizeof dx);
+      std::memcpy(dy_j + j, &dy, sizeof dy);
+      std::memcpy(dz_j + j, &dz, sizeof dz);
+      // !(r2 >= rc2), not r2 < rc2: a NaN distance counts, as it always has.
+      const I hit = ~(r2 >= rc2_v);
+      for (std::size_t l = 0; l < W; ++l) {
+        hit_r2[hits] = r2[l];
+        hit_j[hits] = j + l;
+        hits += static_cast<std::size_t>(hit[l] & 1);
+      }
     }
+    // Lanes past `end` read padding, which may count as hits; being the
+    // last lanes of the pass, they are the last entries, so drop them.
+    while (hits > 0 && hit_j[hits - 1] >= end) --hits;
+
+    for (std::size_t h = 0; h < hits; h += W) {
+      V r2{};
+      std::memcpy(&r2, hit_r2 + h, sizeof r2);
+      // std::max(r2, r2_min) is (r2 < r2_min) ? r2_min : r2.
+      const I low = r2 < r2_min_v;
+      const I clamped = (low & __builtin_bit_cast(I, r2_min_v)) |
+                        (~low & __builtin_bit_cast(I, r2));
+      r2 = __builtin_bit_cast(V, clamped);
+      const V s2 = sigma2_v / r2;
+      const V s6 = s2 * s2 * s2;
+      const V f = eps24_v * (2.0 * s6 * s6 - s6) / r2;
+      std::memcpy(hit_f + h, &f, sizeof f);
+    }
+
     double fxm = fx[m], fym = fy[m], fzm = fz[m];
     for (std::size_t h = 0; h < hits; ++h) {
-      const std::size_t j = s.hits[h];
-      const double f = f_over_r(s.r2[j]);
-      fxm += f * s.dx[j];
-      fym += f * s.dy[j];
-      fzm += f * s.dz[j];
+      const std::size_t j = hit_j[h];
+      const double f = hit_f[h];
+      fxm += f * dx_j[j];
+      fym += f * dy_j[j];
+      fzm += f * dz_j[j];
       if (j < n) {  // an own particle takes the opposite force
-        fx[j] -= f * s.dx[j];
-        fy[j] -= f * s.dy[j];
-        fz[j] -= f * s.dz[j];
+        fx[j] -= f * dx_j[j];
+        fy[j] -= f * dy_j[j];
+        fz[j] -= f * dz_j[j];
       }
     }
     fx[m] = fxm;
     fy[m] = fym;
     fz[m] = fzm;
   }
+}
+
+void two_lane_forces(std::span<const Particle> particles,
+                     const Mol3dGhosts& ghosts, const Mol3dConfig& config,
+                     Mol3dForces& out) {
+  forces_body<V2d, V2i>(particles, ghosts, config, out);
+}
+
+#if defined(__x86_64__)
+// AVX2 and nothing more: AVX2 does not imply FMA, so no product here can
+// be contracted into a fused multiply-add (docs/applications.md).
+[[gnu::target("avx2")]] void avx2_forces(std::span<const Particle> particles,
+                                         const Mol3dGhosts& ghosts,
+                                         const Mol3dConfig& config,
+                                         Mol3dForces& out) {
+  forces_body<V4d, V4i>(particles, ghosts, config, out);
+}
+#endif
+
+}  // namespace
+
+Mol3dKernels mol3d_kernels() {
+  Mol3dKernels kernels{two_lane_forces, nullptr};
+#if defined(__x86_64__)
+  if (__builtin_cpu_supports("avx2")) kernels.avx2 = avx2_forces;
+#endif
+  return kernels;
+}
+
+void mol3d_forces(std::span<const Particle> particles, const Mol3dGhosts& ghosts,
+                  const Mol3dConfig& config, Mol3dForces& out) {
+  static const Mol3dForcesFn kernel = [] {
+    const Mol3dKernels kernels = mol3d_kernels();
+    return kernels.avx2 != nullptr ? kernels.avx2 : kernels.two_lane;
+  }();
+  kernel(particles, ghosts, config, out);
 }
 
 void Mol3dConfig::validate() const {
@@ -272,15 +373,38 @@ std::int64_t Mol3dChare::pairs_examined() const {
 
 void Mol3dChare::execute(const Message& msg) {
   if (msg.tag == kMolGhost) {
-    CLB_CHECK(msg.data.size() >= 4);
-    const int iter = static_cast<int>(msg.data[0]);
-    const auto side = static_cast<std::size_t>(msg.data[1]);
-    const auto n_ghost = static_cast<std::size_t>(msg.data[2]);
-    const auto n_leave = static_cast<std::size_t>(msg.data[3]);
-    CLB_CHECK(side < 6);
-    CLB_CHECK_MSG(iter == iter_ || iter == iter_ + 1,
-                  "ghost for iteration " << iter << " while at " << iter_);
-    CLB_CHECK(msg.data.size() == 4 + n_ghost * 3 + n_leave * 6);
+    CLB_CHECK_MSG(msg.data.size() >= 4,
+                  "ghost message (tag " << msg.tag << ") carries "
+                                        << msg.data.size()
+                                        << " values, want at least 4");
+    // The header is checked as doubles: converting a NaN or out-of-range
+    // value to an integer type is undefined behaviour.
+    const double iter_value = msg.data[0];
+    const double side_value = msg.data[1];
+    const double ghost_value = msg.data[2];
+    const double leave_value = msg.data[3];
+    CLB_CHECK_MSG(whole_below(side_value, 6.0),
+                  "ghost message (tag " << msg.tag << ") names side "
+                                        << side_value << ", want 0..5");
+    // A neighbour can be at most one iteration ahead of us.
+    CLB_CHECK_MSG(iter_value == iter_ || iter_value == iter_ + 1,
+                  "ghost message (tag " << msg.tag << ") for iteration "
+                                        << iter_value << " while at "
+                                        << iter_);
+    // Both counts are below the payload size whenever the size adds up,
+    // so checking that bound first keeps the sum exact.
+    const auto size = static_cast<double>(msg.data.size());
+    CLB_CHECK_MSG(whole_below(ghost_value, size) &&
+                      whole_below(leave_value, size) &&
+                      size == 4.0 + 3.0 * ghost_value + 6.0 * leave_value,
+                  "ghost message (tag "
+                      << msg.tag << ") carries " << msg.data.size()
+                      << " values for " << ghost_value << " ghosts and "
+                      << leave_value << " leavers");
+    const int iter = static_cast<int>(iter_value);
+    const auto side = static_cast<std::size_t>(side_value);
+    const auto n_ghost = static_cast<std::size_t>(ghost_value);
+    const auto n_leave = static_cast<std::size_t>(leave_value);
 
     auto& slot = ghosts_[iter][side];
     slot.assign(msg.data.begin() + 4,
@@ -303,8 +427,15 @@ void Mol3dChare::execute(const Message& msg) {
     return;
   }
 
-  CLB_CHECK(msg.tag == kMolCompute);
-  CLB_CHECK(static_cast<int>(msg.data[0]) == iter_);
+  CLB_CHECK_MSG(msg.tag == kMolCompute, "unknown mol3d tag " << msg.tag);
+  CLB_CHECK_MSG(msg.data.size() == 1,
+                "compute message (tag " << msg.tag << ") carries "
+                                        << msg.data.size()
+                                        << " values, want 1");
+  CLB_CHECK_MSG(msg.data[0] == iter_, "compute message (tag "
+                                          << msg.tag << ") for iteration "
+                                          << msg.data[0] << " while at "
+                                          << iter_);
   compute_pending_ = false;
 
   // Adopt particles handed over by neighbours before computing forces.

@@ -57,6 +57,12 @@ struct Mol3dConfig {
   void validate() const;
 };
 
+/// Message tags of Mol3dChare.
+enum Mol3dTag : int {
+  kMolGhost = 1,    ///< positions and leavers from a face neighbour
+  kMolCompute = 2,  ///< self-message triggering the iteration's forces
+};
+
 /// The ghost positions one cell holds for a force computation: for each
 /// face (0=x− 1=x+ 2=y− 3=y+ 4=z− 5=z+) a run of xyz triples.
 using Mol3dGhosts = std::array<std::span<const double>, 6>;
@@ -74,6 +80,19 @@ struct Mol3dForces {
 /// the summation order and expressions this relies on.
 void mol3d_forces(std::span<const Particle> particles, const Mol3dGhosts& ghosts,
                   const Mol3dConfig& config, Mol3dForces& out);
+
+using Mol3dForcesFn = void (*)(std::span<const Particle>, const Mol3dGhosts&,
+                               const Mol3dConfig&, Mol3dForces&);
+
+/// The widths mol3d_forces chooses from, once per process: one kernel body
+/// at two lanes (the x86-64 baseline) and at four (AVX2). `avx2` is null
+/// where the host cannot run it; mol3d_forces runs it wherever it is not.
+/// Exposed so tests and benchmarks can check and time every width.
+struct Mol3dKernels {
+  Mol3dForcesFn two_lane;
+  Mol3dForcesFn avx2;
+};
+Mol3dKernels mol3d_kernels();
 
 /// One spatial cell of the Mol3D decomposition. Each iteration it ships
 /// its particle positions (plus any particles that left its bounds) to its

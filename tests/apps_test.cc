@@ -451,13 +451,20 @@ TEST(StencilKernelTest, RejectsGhostEdgeOfWrongLength) {
   EXPECT_THROW(wave2d_step(b, 0.25, u, u, ghosts, out), CheckFailure);
 }
 
-/// A started 4-block Jacobi job whose chare 0 (top-left block, with east
-/// and south neighbours) receives hand-made messages.
+/// A 4-block Jacobi job: chare 0 is the top-left block, with east and
+/// south neighbours.
+void populate_small_jacobi(RuntimeJob& job) {
+  Jacobi2dConfig config;
+  config.layout = small_layout();
+  populate_jacobi2d(job, config);
+}
+
+/// A started job whose chare 0 receives hand-made messages; by default
+/// the small Jacobi job.
 struct MalformedRig {
-  MalformedRig() : rig{2} {
-    Jacobi2dConfig config;
-    config.layout = small_layout();
-    populate_jacobi2d(*rig.job, config);
+  explicit MalformedRig(void (*populate)(RuntimeJob&) = populate_small_jacobi)
+      : rig{2} {
+    populate(*rig.job);
     rig.job->start();
   }
   void deliver(int tag, std::vector<double> data) {
@@ -666,14 +673,15 @@ struct ForceInput {
   }
 };
 
-/// Checks mol3d_forces against the retained scalar loop, bit for bit.
-/// `out` is reused across calls, as the runtime reuses its buffer.
-void expect_forces_match_reference(const ForceInput& in,
+/// Checks one width of the force kernel against the retained scalar loop,
+/// bit for bit. `out` is reused across calls, as the runtime reuses its
+/// buffer.
+void expect_forces_match_reference(Mol3dForcesFn kernel, const ForceInput& in,
                                    const Mol3dConfig& config,
                                    Mol3dForces& out, const std::string& what) {
   Mol3dForces want;
   mol3d_reference_forces(in.particles, in.ghosts(), config, want);
-  mol3d_forces(in.particles, in.ghosts(), config, out);
+  kernel(in.particles, in.ghosts(), config, out);
   ASSERT_EQ(out.fx.size(), in.particles.size()) << what;
   ASSERT_EQ(out.fy.size(), in.particles.size()) << what;
   ASSERT_EQ(out.fz.size(), in.particles.size()) << what;
@@ -690,17 +698,17 @@ void expect_forces_match_reference(const ForceInput& in,
   }
 }
 
-TEST(Mol3dTest, ForcesMatchScalarReferenceOnRandomCells) {
-  // A random cell of the default box, its particles (sometimes none or a
-  // handful, sometimes clustered into overlap) and 0..31 ghosts per face
-  // drawn from the neighbouring cells, so both even and odd ghost totals
-  // and pairs across the periodic wrap occur.
+/// A random cell of the default box, its particles (sometimes none or a
+/// handful, sometimes clustered into overlap) and 0..31 ghosts per face
+/// drawn from the neighbouring cells, so every ghost total mod 4 and pairs
+/// across the periodic wrap occur.
+void expect_random_cells_match_reference(Mol3dForcesFn kernel) {
   const Mol3dConfig config;
   const double box[3] = {static_cast<double>(config.cells_x),
                          static_cast<double>(config.cells_y),
                          static_cast<double>(config.cells_z)};
   Mol3dForces out;
-  std::size_t odd_totals = 0;
+  std::array<std::size_t, 4> ghost_totals_mod4{};
   std::size_t nonzero_forces = 0;
   for (std::uint64_t seed = 1; seed <= 300; ++seed) {
     Rng rng{seed};
@@ -731,17 +739,30 @@ TEST(Mol3dTest, ForcesMatchScalarReferenceOnRandomCells) {
         in.add_ghost(side, pos[0], pos[1], pos[2]);
       }
     }
-    odd_totals += total % 2;
-    expect_forces_match_reference(in, config, out,
+    ++ghost_totals_mod4[total % 4];
+    expect_forces_match_reference(kernel, in, config, out,
                                   "seed " + std::to_string(seed));
     for (const double f : out.fx) nonzero_forces += f != 0.0;
   }
-  // The grid exercises what it claims to: padded ghost runs and real forces.
-  EXPECT_GT(odd_totals, 50u);
+  // The grid exercises what it claims to: real forces, and rows ending
+  // 0..3 lanes short of a 4-lane pass. The last row compares against the
+  // ghosts alone, so each total mod 4 leaves a different padding.
+  for (std::size_t r = 0; r < 4; ++r)
+    EXPECT_GT(ghost_totals_mod4[r], 40u) << "ghost totals = " << r << " mod 4";
   EXPECT_GT(nonzero_forces, 1000u);
 }
 
-TEST(Mol3dTest, ForcesMatchScalarReferenceOnEdgeCases) {
+TEST(Mol3dTest, ForcesMatchScalarReferenceOnRandomCells) {
+  expect_random_cells_match_reference(mol3d_kernels().two_lane);
+}
+
+TEST(Mol3dTest, ForcesMatchScalarReferenceOnRandomCellsAvx2) {
+  const Mol3dForcesFn avx2 = mol3d_kernels().avx2;
+  if (avx2 == nullptr) GTEST_SKIP() << "the host cannot run AVX2";
+  expect_random_cells_match_reference(avx2);
+}
+
+void expect_edge_cases_match_reference(Mol3dForcesFn kernel) {
   const Mol3dConfig config;
   const double box[3] = {static_cast<double>(config.cells_x),
                          static_cast<double>(config.cells_y),
@@ -749,7 +770,7 @@ TEST(Mol3dTest, ForcesMatchScalarReferenceOnEdgeCases) {
   const double rc = config.cutoff;
   Mol3dForces out;
   auto check = [&](const ForceInput& in, const std::string& what) {
-    expect_forces_match_reference(in, config, out, what);
+    expect_forces_match_reference(kernel, in, config, out, what);
   };
 
   ForceInput empty;
@@ -844,6 +865,42 @@ TEST(Mol3dTest, ForcesMatchScalarReferenceOnEdgeCases) {
   nan.add_particle(1.6, 1.5, 1.5);
   nan.add_ghost(0, std::nan(""), 1.5, 1.5);
   check(nan, "NaN ghost");
+
+  // A NaN own particle: its row is all hits, as is its column in the
+  // earlier rows. Ghost totals 0..3 vary how its row ends.
+  ForceInput nan_own;
+  nan_own.add_particle(1.5, 1.5, 1.5);
+  nan_own.add_particle(1.5, std::nan(""), 1.5);
+  nan_own.add_particle(1.6, 1.5, 1.5);
+  for (std::size_t g = 0; g < 4; ++g) {
+    check(nan_own, "NaN own particle, " + std::to_string(g) + " ghosts");
+    nan_own.add_ghost(g, 1.55, 1.45, 1.5);
+  }
+
+  // Infinite coordinates: ∞ − ∞ is a NaN distance (a hit), ∞ − x an
+  // infinite one (no hit), on own particles and ghosts alike.
+  const double inf = std::numeric_limits<double>::infinity();
+  ForceInput infinite;
+  infinite.add_particle(inf, 1.5, 1.5);
+  infinite.add_particle(1.5, -inf, 1.5);
+  infinite.add_particle(1.5, 1.5, 1.5);
+  infinite.add_particle(inf, 1.5, 1.5);
+  infinite.add_ghost(0, inf, 1.5, 1.5);
+  infinite.add_ghost(2, 1.5, -inf, 1.5);
+  infinite.add_ghost(3, 1.5, inf, 1.5);
+  infinite.add_ghost(4, 1.5, 1.5, -inf);
+  infinite.add_ghost(5, 1.55, 1.5, 1.5);
+  check(infinite, "infinite coordinates");
+}
+
+TEST(Mol3dTest, ForcesMatchScalarReferenceOnEdgeCases) {
+  expect_edge_cases_match_reference(mol3d_kernels().two_lane);
+}
+
+TEST(Mol3dTest, ForcesMatchScalarReferenceOnEdgeCasesAvx2) {
+  const Mol3dForcesFn avx2 = mol3d_kernels().avx2;
+  if (avx2 == nullptr) GTEST_SKIP() << "the host cannot run AVX2";
+  expect_edge_cases_match_reference(avx2);
 }
 
 TEST(Mol3dTest, PeriodicWrapMatchesFmodAtEveryBranch) {
@@ -919,6 +976,51 @@ TEST(Mol3dTest, DefaultRunEndStatePinned) {
   }
   EXPECT_EQ(total, static_cast<std::size_t>(config.num_particles));
   EXPECT_EQ(digest, 0x52e35c6be857b841ull) << std::hex << digest;
+}
+
+void populate_small_mol3d(RuntimeJob& job) { populate_mol3d(job, small_mol()); }
+
+TEST(Mol3dTest, RejectsMalformedGhostMessages) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // Header: iteration, side, ghost count, leaver count; then 3 values per
+  // ghost and 6 per leaver.
+  const std::vector<std::vector<double>> malformed = {
+      {},
+      {0.0, 1.0, 0.0},
+      {0.0, -1.0, 0.0, 0.0},
+      {0.0, 6.0, 0.0, 0.0},
+      {0.0, 2.5, 0.0, 0.0},
+      {0.0, nan, 0.0, 0.0},
+      {nan, 1.0, 0.0, 0.0},
+      {2.0, 1.0, 0.0, 0.0},
+      {0.0, 1.0, nan, 0.0},
+      {0.0, 1.0, 0.0, nan},
+      {0.0, 1.0, 1.0, 0.0},  // a ghost short
+      {0.0, 1.0, 0.0, 0.0, 0.5},
+      {0.0, 1.0, 1e300, 0.0},
+      // Counts that add up to the size, though one is not a count.
+      {0.0, 1.0, -2.0, 1.0},
+      {0.0, 1.0, 2.0 / 3.0, 0.0, 0.5, 0.5},
+  };
+  for (const std::vector<double>& data : malformed) {
+    MalformedRig m{populate_small_mol3d};
+    EXPECT_THROW(m.deliver(kMolGhost, data), CheckFailure)
+        << data.size() << " values";
+  }
+  // Well-formed ghosts, for this iteration and the next, are accepted.
+  MalformedRig m{populate_small_mol3d};
+  m.deliver(kMolGhost, {0.0, 1.0, 1.0, 0.0, 0.5, 0.5, 0.5});
+  m.deliver(kMolGhost, {1.0, 2.0, 0.0, 1.0, 0.5, 0.5, 0.5, 0.0, 0.0, 0.0});
+}
+
+TEST(Mol3dTest, RejectsMalformedComputeMessages) {
+  MalformedRig m{populate_small_mol3d};
+  EXPECT_THROW(m.deliver(kMolCompute, {}), CheckFailure);
+  EXPECT_THROW(m.deliver(kMolCompute, {1.0}), CheckFailure);
+  EXPECT_THROW(m.deliver(kMolCompute, {0.0, 0.0}), CheckFailure);
+  EXPECT_THROW(
+      m.deliver(kMolCompute, {std::numeric_limits<double>::quiet_NaN()}),
+      CheckFailure);
 }
 
 // ------------------------------------------------------------- app factory

@@ -21,6 +21,11 @@ invariant loud (docs/static-analysis.md):
                    (schedule_*, step, fire_*) include
                    util/shard_annotations.h so CLB_WARM_PATH contracts
                    are visible to the whole-program analyzer
+  exact-fp         no target attribute or pragma naming fma, avx512*,
+                   arch= or tune=, and no -mfma, -march, -mavx512*,
+                   -ffast-math, -ffp-contract=fast or -Ofast in src/ or
+                   the CMake files: the kernels must match their scalar
+                   references bit for bit
 
 Diagnostics are `path:line: [rule] message`, one per finding; the exit
 code is 0 when the tree is clean and 1 otherwise. A finding is suppressed
@@ -29,6 +34,7 @@ by a trailing comment naming its rule:
     std::mt19937 gen;  // NOLINT-CLOUDLB(ambient-rng): fixture for tests
 
 Multiple rules separate with commas: `// NOLINT-CLOUDLB(rule-a,rule-b)`.
+In CMake files the comment starts with `#` instead of `//`.
 A suppression naming a rule that fires no diagnostic on its line is itself
 reported as `stale-nolint`, so suppressions cannot rot in place after the
 code they excused is fixed (and rule-name typos are caught). Rules whose
@@ -66,6 +72,14 @@ EXCLUDED = ("tests/lint/fixtures", "tests/analyzer/fixtures")
 SOURCE_SUFFIXES = (".cc", ".cpp", ".h", ".hpp")
 HEADER_SUFFIXES = (".h", ".hpp")
 
+# CMake files are walked at the root and in these top-level directories
+# (never in build trees, whose generated .cmake files are not ours).
+CMAKE_DIRS = SCAN_DIRS + ("examples", "perfbench")
+
+
+def _is_cmake(path: pathlib.Path) -> bool:
+    return path.name == "CMakeLists.txt" or path.suffix == ".cmake"
+
 
 class Diagnostic(NamedTuple):
     path: pathlib.Path
@@ -83,6 +97,9 @@ class Rule(NamedTuple):
     # Per-file allowlist: (glob, reason). Files matching any glob are
     # exempt; the reason documents why, like an in-tree NOLINT would.
     allow: tuple[tuple[str, str], ...] = ()
+    # Whether the rule also reads every CMake file (the only rules that
+    # do), whatever its scopes.
+    cmake: bool = False
 
 
 def _raw_prefix_len(line: str, i: int) -> int:
@@ -206,6 +223,87 @@ def _regex_rule(patterns: list[tuple[str, str]]):
         return found
 
     return check
+
+
+def _strip_cmake_comments(lines: list[str]) -> list[str]:
+    """Blanks out CMake `#` comments outside quoted arguments, keeping the
+    strings: compiler flags live in them. Bracket comments (`#[[ ]]`) are
+    treated line by line, like ordinary ones."""
+    out: list[str] = []
+    for line in lines:
+        quoted = False
+        i = 0
+        while i < len(line):
+            c = line[i]
+            if c == "\\":
+                i += 2
+                continue
+            if c == '"':
+                quoted = not quoted
+            elif c == "#" and not quoted:
+                break
+            i += 1
+        out.append(line[:i] + " " * (len(line) - i))
+    return out
+
+
+# Instruction sets a target attribute or pragma must not name: FMA fuses
+# a multiply and an add into one rounding (AVX-512 implies it), and arch=
+# or tune= may bring in either.
+_FUSING_ISA = re.compile(r"\bfma\w*|\bavx512\w*|\barch=|\btune=")
+# Flags that let the compiler reassociate or contract floating-point
+# expressions, or enable FMA for a whole translation unit.
+_INEXACT_FLAG = re.compile(
+    r"(?<![\w-])(?:-mfma|-march\b|-mavx512\w*|-ffast-math"
+    r"|-ffp-contract=fast|-Ofast)")
+_TARGET_ATTR = re.compile(
+    r"\btarget(?:_clones)?\s*\(|#\s*pragma\s+GCC\s+target\b")
+_OPTIMIZE_ATTR = re.compile(r"\boptimize\s*\(|#\s*pragma\s+GCC\s+optimize\b")
+_INEXACT_OPTIMIZE = re.compile(r"fast-math|fp-contract=fast|Ofast")
+
+
+def _check_exact_fp(rule: Rule, path: pathlib.Path, raw: list[str],
+                    code: list[str]) -> list[Diagnostic]:
+    """The force and stencil kernels must match their scalar references
+    bit for bit (docs/applications.md), which holds only while no product
+    is fused into an add and no expression is reassociated. In a source
+    file, a target attribute or pragma is checked for the instruction sets
+    it names and an optimize attribute or pragma for the flags; in a CMake
+    file, every flag is. The names sit in string literals, which `code`
+    blanks, so the checks read the raw line up to its trailing comment
+    (the stripped line keeps every column, so its length marks the end of
+    the code). A target list split across lines escapes the check, the
+    usual precision trade-off of these line rules."""
+    found = []
+    for lineno, (text, stripped) in enumerate(zip(raw, code), 1):
+        line = text[:len(stripped.rstrip())]
+        if _is_cmake(path):
+            m = _INEXACT_FLAG.search(line)
+            if m:
+                found.append(Diagnostic(
+                    path, lineno, rule.name,
+                    f"{m.group(0)} lets the compiler fuse or reassociate "
+                    "floating-point operations; the kernels must match "
+                    "their scalar references bit for bit"))
+            continue
+        if _TARGET_ATTR.search(stripped):
+            m = _FUSING_ISA.search(line)
+            if m:
+                found.append(Diagnostic(
+                    path, lineno, rule.name,
+                    f"target names '{m.group(0)}', which may fuse a "
+                    "multiply and an add; name only the instruction sets "
+                    "the kernel needs (e.g. avx2), so results stay "
+                    "bit-identical to the scalar references"))
+        if _OPTIMIZE_ATTR.search(stripped):
+            m = _INEXACT_OPTIMIZE.search(line)
+            if m:
+                found.append(Diagnostic(
+                    path, lineno, rule.name,
+                    f"optimize names '{m.group(0)}', which lets the "
+                    "compiler fuse or reassociate floating-point "
+                    "operations"))
+    return found
 
 
 def _check_pragma_once(rule: Rule, path: pathlib.Path, raw: list[str],
@@ -455,6 +553,18 @@ RULES: list[Rule] = [
         check=_check_warm_path_annotation,
     ),
     Rule(
+        name="exact-fp",
+        scopes=("src",),
+        headers_only=False,
+        description="No target attribute or pragma naming fma, avx512*, "
+                    "arch= or tune=, and no -mfma, -march, -mavx512*, "
+                    "-ffast-math, -ffp-contract=fast or -Ofast in src/ or "
+                    "any CMake file: the kernels must match their scalar "
+                    "references bit for bit.",
+        check=_check_exact_fp,
+        cmake=True,
+    ),
+    Rule(
         name="using-namespace",
         scopes=("src", "tests", "bench", "tools"),
         headers_only=True,
@@ -467,8 +577,8 @@ RULES: list[Rule] = [
     ),
 ]
 
-NOLINT = re.compile(r"//\s*NOLINT-CLOUDLB\(([^)]*)\)")
-EXPECT = re.compile(r"//\s*EXPECT-LINT\(([^)]*)\)")
+NOLINT = re.compile(r"(?://|#)\s*NOLINT-CLOUDLB\(([^)]*)\)")
+EXPECT = re.compile(r"(?://|#)\s*EXPECT-LINT\(([^)]*)\)")
 
 # The stale-suppression meta-rule (not in RULES: it checks the NOLINT
 # comments themselves, after every ordinary rule has run).
@@ -494,13 +604,18 @@ def lint_file(path: pathlib.Path, rel: pathlib.PurePath) -> list[Diagnostic]:
         raw = path.read_text(encoding="utf-8").splitlines()
     except (OSError, UnicodeDecodeError) as err:
         return [Diagnostic(path, 1, "io", f"unreadable: {err}")]
-    code = _strip_comments_and_strings(raw)
+    cmake = _is_cmake(path)
+    code = (_strip_cmake_comments(raw) if cmake
+            else _strip_comments_and_strings(raw))
     scope = rel.parts[0] if rel.parts else ""
     is_header = path.suffix in HEADER_SUFFIXES
 
     found: list[Diagnostic] = []
     for rule in RULES:
-        if scope not in rule.scopes:
+        if cmake:
+            if not rule.cmake:
+                continue
+        elif scope not in rule.scopes:
             continue
         if rule.headers_only and not is_header:
             continue
@@ -532,17 +647,21 @@ def lint_file(path: pathlib.Path, rel: pathlib.PurePath) -> list[Diagnostic]:
 
 
 def iter_tree(root: pathlib.Path):
-    for top in SCAN_DIRS:
+    candidates = [p for p in sorted(root.glob("*")) if _is_cmake(p)]
+    for top in CMAKE_DIRS:
         base = root / top
-        if not base.is_dir():
+        if base.is_dir():
+            candidates.extend(
+                p for p in sorted(base.rglob("*"))
+                if (top in SCAN_DIRS and p.suffix in SOURCE_SUFFIXES)
+                or _is_cmake(p))
+    for path in candidates:
+        if not path.is_file():
             continue
-        for path in sorted(base.rglob("*")):
-            if path.suffix not in SOURCE_SUFFIXES or not path.is_file():
-                continue
-            rel = path.relative_to(root)
-            if any(str(rel).startswith(ex) for ex in EXCLUDED):
-                continue
-            yield path, rel
+        rel = path.relative_to(root)
+        if any(str(rel).startswith(ex) for ex in EXCLUDED):
+            continue
+        yield path, rel
 
 
 def lint_tree(root: pathlib.Path) -> list[Diagnostic]:
@@ -592,7 +711,7 @@ def main(argv: list[str]) -> int:
 
     if args.list_rules:
         for rule in RULES:
-            where = ", ".join(rule.scopes)
+            where = ", ".join(rule.scopes + (("CMake",) if rule.cmake else ()))
             kind = "headers" if rule.headers_only else "all sources"
             print(f"{rule.name:16} [{where}; {kind}]\n    {rule.description}")
         print(f"{STALE_RULE:16} [{', '.join(SCAN_DIRS)}; all sources]\n"
