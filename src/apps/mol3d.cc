@@ -287,27 +287,21 @@ Mol3dChare::Mol3dChare(const Mol3dConfig& config, int cx, int cy, int cz,
       cz_{cz},
       particles_{std::move(particles)} {
   config_.validate();
+  staged_.fill(particles_.size());
   lo_[0] = cx;
   hi_[0] = cx + 1;
   lo_[1] = cy;
   hi_[1] = cy + 1;
   lo_[2] = cz;
   hi_[2] = cz + 1;
-}
-
-ChareId Mol3dChare::neighbor(int side) const {
-  int nxc = cx_, nyc = cy_, nzc = cz_;
-  switch (side) {
-    case 0: nxc = (cx_ + config_.cells_x - 1) % config_.cells_x; break;
-    case 1: nxc = (cx_ + 1) % config_.cells_x; break;
-    case 2: nyc = (cy_ + config_.cells_y - 1) % config_.cells_y; break;
-    case 3: nyc = (cy_ + 1) % config_.cells_y; break;
-    case 4: nzc = (cz_ + config_.cells_z - 1) % config_.cells_z; break;
-    case 5: nzc = (cz_ + 1) % config_.cells_z; break;
-    default: CLB_CHECK_MSG(false, "bad side " << side);
+  const int cells[3] = {config_.cells_x, config_.cells_y, config_.cells_z};
+  for (int side = 0; side < 6; ++side) {
+    int c[3] = {cx, cy, cz};
+    const int axis = side / 2;
+    c[axis] = (c[axis] + (side % 2 == 0 ? cells[axis] - 1 : 1)) % cells[axis];
+    neighbor_[static_cast<std::size_t>(side)] =
+        static_cast<ChareId>((c[2] * cells[1] + c[1]) * cells[0] + c[0]);
   }
-  return static_cast<ChareId>((nzc * config_.cells_y + nyc) * config_.cells_x +
-                              nxc);
 }
 
 void Mol3dChare::on_start() { send_phase(); }
@@ -315,15 +309,17 @@ void Mol3dChare::on_start() { send_phase(); }
 void Mol3dChare::on_resume_sync() { send_phase(); }
 
 void Mol3dChare::send_phase() {
-  for (int side = 0; side < 6; ++side) {
+  const std::span<const Particle> own = particles();
+  for (std::size_t side = 0; side < 6; ++side) {
     std::vector<double> payload;
-    auto& leavers = outbox_[static_cast<std::size_t>(side)];
-    payload.reserve(4 + particles_.size() * 3 + leavers.size() * 6);
+    const std::span<const Particle> leavers{particles_.data() + staged_[side],
+                                            staged_[side + 1] - staged_[side]};
+    payload.reserve(4 + own.size() * 3 + leavers.size() * 6);
     payload.push_back(static_cast<double>(iter_));
     payload.push_back(static_cast<double>(side ^ 1));  // receiver's face
-    payload.push_back(static_cast<double>(particles_.size()));
+    payload.push_back(static_cast<double>(own.size()));
     payload.push_back(static_cast<double>(leavers.size()));
-    for (const Particle& p : particles_) {
+    for (const Particle& p : own) {
       payload.push_back(p.x);
       payload.push_back(p.y);
       payload.push_back(p.z);
@@ -336,9 +332,11 @@ void Mol3dChare::send_phase() {
       payload.push_back(p.vy);
       payload.push_back(p.vz);
     }
-    leavers.clear();  // ownership handed to the neighbour
-    send(neighbor(side), kMolGhost, std::move(payload));
+    send(neighbor_[side], kMolGhost, std::move(payload));
   }
+  // The leavers now belong to their neighbours; shrinking keeps capacity.
+  particles_.resize(staged_[0]);
+  staged_.fill(staged_[0]);
   // Fast neighbours may already have delivered every ghost for this
   // iteration while we were still computing the previous one.
   maybe_trigger_compute();
@@ -362,16 +360,14 @@ SimTime Mol3dChare::cost(const Message& msg) const {
 }
 
 std::int64_t Mol3dChare::pairs_examined() const {
-  const auto n = static_cast<std::int64_t>(particles_.size());
+  const auto n = static_cast<std::int64_t>(staged_[0]);
   std::int64_t ghost_total = 0;
-  const auto it = ghosts_.find(iter_);
-  if (it != ghosts_.end())
-    for (const auto& g : it->second)
-      ghost_total += static_cast<std::int64_t>(g.size() / 3);
+  for (const auto& g : slot(iter_).ghosts)
+    ghost_total += static_cast<std::int64_t>(g.size() / 3);
   return n * (n - 1) / 2 + n * ghost_total;
 }
 
-void Mol3dChare::execute(const Message& msg) {
+void Mol3dChare::execute(Message& msg) {
   if (msg.tag == kMolGhost) {
     CLB_CHECK_MSG(msg.data.size() >= 4,
                   "ghost message (tag " << msg.tag << ") carries "
@@ -406,23 +402,20 @@ void Mol3dChare::execute(const Message& msg) {
     const auto n_ghost = static_cast<std::size_t>(ghost_value);
     const auto n_leave = static_cast<std::size_t>(leave_value);
 
-    auto& slot = ghosts_[iter][side];
-    slot.assign(msg.data.begin() + 4,
-                msg.data.begin() + 4 + static_cast<std::ptrdiff_t>(n_ghost * 3));
-
-    std::size_t off = 4 + n_ghost * 3;
-    auto& incoming = incoming_[iter];
-    for (std::size_t i = 0; i < n_leave; ++i, off += 6) {
-      Particle p;
-      p.x = msg.data[off];
-      p.y = msg.data[off + 1];
-      p.z = msg.data[off + 2];
-      p.vx = msg.data[off + 3];
-      p.vy = msg.data[off + 4];
-      p.vz = msg.data[off + 5];
-      incoming.push_back(p);
-    }
-    ++ghost_count_[iter];
+    // A received payload holds at least its header, so an empty one marks
+    // a face still to come.
+    IterSlot& s = slot(iter);
+    CLB_CHECK_MSG(s.payloads[side].empty(),
+                  "duplicate ghost for side " << side << " (tag " << msg.tag
+                                              << ", iteration " << iter
+                                              << ')');
+    // The payload changes hands whole: the kernel reads the ghost triples
+    // and the compute adopts the leavers where they arrived.
+    s.payloads[side] = std::move(msg.data);
+    const std::span<const double> data{s.payloads[side]};
+    s.ghosts[side] = data.subspan(4, n_ghost * 3);
+    s.leavers[side] = data.subspan(4 + n_ghost * 3, n_leave * 6);
+    s.order[static_cast<std::size_t>(s.count++)] = side;
     maybe_trigger_compute();
     return;
   }
@@ -438,16 +431,16 @@ void Mol3dChare::execute(const Message& msg) {
                                           << iter_);
   compute_pending_ = false;
 
-  // Adopt particles handed over by neighbours before computing forces.
-  auto in = incoming_.find(iter_);
-  if (in != incoming_.end()) {
-    particles_.insert(particles_.end(), in->second.begin(), in->second.end());
-    incoming_.erase(in);
-  }
-
-  compute_forces_and_integrate();
-  ghosts_.erase(iter_);
-  ghost_count_.erase(iter_);
+  IterSlot& s = slot(iter_);
+  compute_forces_and_integrate(s);
+  // Freed, not kept: a kept buffer would hold on to the largest payload
+  // its face ever sent (docs/applications.md). `= {}` would pick the
+  // initializer-list assignment, which keeps the capacity.
+  for (std::vector<double>& payload : s.payloads)
+    payload = std::vector<double>{};
+  s.ghosts = {};
+  s.leavers = {};
+  s.count = 0;
 
   report_iteration(iter_);
   ++iter_;
@@ -465,34 +458,53 @@ void Mol3dChare::execute(const Message& msg) {
 
 void Mol3dChare::maybe_trigger_compute() {
   if (compute_pending_) return;
-  const auto it = ghost_count_.find(iter_);
-  if (it != ghost_count_.end() && it->second == 6) {
+  if (slot(iter_).count == 6) {
     compute_pending_ = true;
-    send(id(), kMolCompute, {static_cast<double>(iter_)});
+    // One double, from the PE's recycled payloads: the runtime takes it
+    // back after the compute, so a warm cell sends it without allocating.
+    std::vector<double> payload = new_payload();
+    payload.push_back(static_cast<double>(iter_));
+    send(id(), kMolCompute, std::move(payload));
   }
 }
 
-void Mol3dChare::compute_forces_and_integrate() {
+void Mol3dChare::compute_forces_and_integrate(const IterSlot& s) {
   const double box[3] = {static_cast<double>(config_.cells_x),
                          static_cast<double>(config_.cells_y),
                          static_cast<double>(config_.cells_z)};
-  Mol3dGhosts ghosts;
-  const auto git = ghosts_.find(iter_);
-  if (git != ghosts_.end())
-    for (std::size_t side = 0; side < ghosts.size(); ++side)
-      ghosts[side] = git->second[side];
+  CLB_CHECK_MSG(staged_[6] == staged_[0],
+                "compute with leavers not yet sent: " << debug_state());
+  // The cell's particles for this iteration: its own, then the ones its
+  // neighbours handed over, in arrival order. One vector of exactly that
+  // size per iteration, which the integrator rearranges in place, so a
+  // cell keeps no capacity beyond its last iteration's particles.
+  std::size_t arriving = 0;
+  for (const auto& leavers : s.leavers) arriving += leavers.size() / 6;
+  std::vector<Particle> cell;
+  cell.reserve(particles_.size() + arriving);
+  cell.insert(cell.end(), particles_.begin(), particles_.end());
+  for (int k = 0; k < s.count; ++k) {
+    const std::span<const double> leavers =
+        s.leavers[s.order[static_cast<std::size_t>(k)]];
+    for (std::size_t off = 0; off < leavers.size(); off += 6)
+      cell.push_back({leavers[off], leavers[off + 1], leavers[off + 2],
+                      leavers[off + 3], leavers[off + 4], leavers[off + 5]});
+  }
+
   thread_local Mol3dForces forces;
-  mol3d_forces(particles_, ghosts, config_, forces);
-  const std::size_t n = particles_.size();
+  mol3d_forces(cell, s.ghosts, config_, forces);
+  const std::size_t n = cell.size();
 
   // Symplectic Euler, then periodic wrap and leaver detection. On the
   // final iteration nothing is staged: there is no further send phase, so
-  // staged particles would be orphaned.
+  // staged particles would be orphaned. The leavers wait in per-face
+  // scratch, one per host thread like the force scratch, then go behind
+  // the particles that stay, face by face.
   const bool stage_leavers = iter_ + 1 < config_.iterations;
-  std::vector<Particle> stay;
-  stay.reserve(n);
+  thread_local std::array<std::vector<Particle>, 6> leaving;
+  std::size_t kept = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    Particle p = particles_[i];
+    Particle p = cell[i];
     p.vx += forces.fx[i] * config_.dt;
     p.vy += forces.fy[i] * config_.dt;
     p.vz += forces.fz[i] * config_.dt;
@@ -501,12 +513,19 @@ void Mol3dChare::compute_forces_and_integrate() {
     p.z = wrap(p.z + p.vz * config_.dt, box[2]);
     const int side = stage_leavers ? side_of_leaver(p) : -1;
     if (side < 0) {
-      stay.push_back(p);
+      cell[kept++] = p;
     } else {
-      outbox_[static_cast<std::size_t>(side)].push_back(p);
+      leaving[static_cast<std::size_t>(side)].push_back(p);
     }
   }
-  particles_.swap(stay);
+  staged_[0] = kept;
+  for (std::size_t side = 0; side < 6; ++side) {
+    const auto at = cell.begin() + static_cast<std::ptrdiff_t>(staged_[side]);
+    std::ranges::copy(leaving[side], at);
+    staged_[side + 1] = staged_[side] + leaving[side].size();
+    leaving[side].clear();
+  }
+  particles_ = std::move(cell);
 }
 
 int Mol3dChare::side_of_leaver(const Particle& p) const {
@@ -528,14 +547,28 @@ int Mol3dChare::side_of_leaver(const Particle& p) const {
 std::string Mol3dChare::debug_state() const {
   std::ostringstream os;
   os << "cell(" << cx_ << ',' << cy_ << ',' << cz_ << ") iter=" << iter_
-     << " pending=" << compute_pending_ << " particles=" << particles_.size();
-  for (const auto& [it, count] : ghost_count_) os << " ghosts[" << it << "]=" << count;
-  for (const auto& [it, inc] : incoming_) os << " incoming[" << it << "]=" << inc.size();
+     << " pending=" << compute_pending_ << " particles=" << staged_[0];
+  // Only iterations iter_ and iter_ + 1 can hold ghosts.
+  for (const int it : {iter_, iter_ + 1}) {
+    if (slot(it).count == 0) continue;
+    std::size_t incoming = 0;
+    for (const auto& leavers : slot(it).leavers) incoming += leavers.size() / 6;
+    os << " ghosts[" << it << "]=" << slot(it).count << " incoming[" << it
+       << "]=" << incoming;
+  }
   return os.str();
 }
 
+std::size_t Mol3dChare::held_ghost_values() const {
+  std::size_t held = 0;
+  for (const IterSlot& s : slots_)
+    for (const std::vector<double>& payload : s.payloads)
+      held += payload.capacity();
+  return held;
+}
+
 std::size_t Mol3dChare::footprint_bytes() const {
-  return particles_.size() * sizeof(Particle) + 512;
+  return staged_[0] * sizeof(Particle) + 512;
 }
 
 std::vector<Particle> mol3d_initial_particles(const Mol3dConfig& config) {
@@ -587,7 +620,7 @@ void populate_mol3d(RuntimeJob& job, const Mol3dConfig& config) {
   for (int cz = 0; cz < config.cells_z; ++cz)
     for (int cy = 0; cy < config.cells_y; ++cy)
       for (int cx = 0; cx < config.cells_x; ++cx) {
-        // Mol3dChare::neighbor routes ghosts by the computed cell id
+        // Mol3dChare's neighbour table routes ghosts by the computed cell id
         // `(cz*cells_y + cy)*cells_x + cx`; that only matches add_chare's
         // assignment when the job starts empty.
         const ChareId id = job.add_chare(std::make_unique<Mol3dChare>(

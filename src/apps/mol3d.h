@@ -2,7 +2,6 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <span>
 #include <vector>
 
@@ -106,11 +105,14 @@ class Mol3dChare final : public Chare {
 
   void on_start() override;
   SimTime cost(const Message& msg) const override;
-  void execute(const Message& msg) override;
+  void execute(Message& msg) override;
   void on_resume_sync() override;
   std::size_t footprint_bytes() const override;
 
-  const std::vector<Particle>& particles() const { return particles_; }
+  /// The cell's particles, not counting those staged to leave it.
+  std::span<const Particle> particles() const {
+    return {particles_.data(), staged_[0]};
+  }
   int iteration() const { return iter_; }
 
   /// One-line diagnostic of the message-wait state (for tests/tools).
@@ -119,23 +121,49 @@ class Mol3dChare final : public Chare {
   /// Pairs the cost model charges for one force computation right now.
   std::int64_t pairs_examined() const;
 
+  /// Doubles of received payload storage the cell holds, capacity
+  /// included: the ghosts of at most two iterations while it runs, none
+  /// once it has finished (for tests).
+  std::size_t held_ghost_values() const;
+
  private:
+  /// What the six face neighbours sent for one iteration. Each received
+  /// payload is kept whole, header included; the spans view its parts in
+  /// place.
+  struct IterSlot {
+    std::array<std::vector<double>, 6> payloads;  ///< empty until received
+    Mol3dGhosts ghosts;  ///< each face's xyz triples
+    std::array<std::span<const double>, 6> leavers;  ///< six values each
+    std::array<std::size_t, 6> order{};  ///< faces in arrival order
+    int count = 0;                       ///< faces received
+  };
+
   void send_phase();
   void maybe_trigger_compute();
-  void compute_forces_and_integrate();
-  ChareId neighbor(int side) const;
+  /// Adopts the leavers in `s`, computes forces and integrates.
+  void compute_forces_and_integrate(const IterSlot& s);
   int side_of_leaver(const Particle& p) const;
+  /// The slot of iteration `iter`: a neighbour is at most one iteration
+  /// ahead, so iterations i and i + 1 never share one.
+  IterSlot& slot(int iter) {
+    return slots_[static_cast<std::size_t>(iter & 1)];
+  }
+  const IterSlot& slot(int iter) const {
+    return slots_[static_cast<std::size_t>(iter & 1)];
+  }
 
   Mol3dConfig config_;
   int cx_, cy_, cz_;
   double lo_[3], hi_[3];
+  std::array<ChareId, 6> neighbor_;  ///< the cell across each face
+  /// The cell's particles, then the ones the last integration found
+  /// outside it, grouped by face in index order until the next send phase
+  /// hands them over: face f's leavers are [staged_[f], staged_[f + 1]).
   std::vector<Particle> particles_;
-  std::array<std::vector<Particle>, 6> outbox_;  ///< leavers staged per face
+  std::array<std::size_t, 7> staged_{};
   int iter_ = 0;
   bool compute_pending_ = false;
-  std::map<int, std::array<std::vector<double>, 6>> ghosts_;  ///< xyz triples
-  std::map<int, int> ghost_count_;
-  std::map<int, std::vector<Particle>> incoming_;  ///< leavers per iteration
+  std::array<IterSlot, 2> slots_;
 };
 
 /// Generates the deterministic clustered particle set, bins it into cells

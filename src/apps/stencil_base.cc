@@ -129,7 +129,7 @@ SimTime StencilBlockChare::cost(const Message& msg) const {
   return SimTime::zero();
 }
 
-void StencilBlockChare::execute(const Message& msg) {
+void StencilBlockChare::execute(Message& msg) {
   if (msg.tag == kTagGhost) {
     CLB_CHECK_MSG(msg.data.size() >= 2,
                   "ghost message (tag " << msg.tag << ") carries "

@@ -139,7 +139,7 @@ class StencilBlockChare : public Chare {
 
   void on_start() override;
   SimTime cost(const Message& msg) const override;
-  void execute(const Message& msg) override;
+  void execute(Message& msg) override;
   void on_resume_sync() override;
   void on_reduction_result(double global_residual) override;
   std::size_t footprint_bytes() const override;

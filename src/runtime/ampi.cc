@@ -121,7 +121,7 @@ SimTime Rank::cost(const Message& msg) const {
                                    static_cast<double>(msg.data.size()));
 }
 
-void Rank::execute(const Message& msg) {
+void Rank::execute(Message& msg) {
   switch (msg.tag) {
     case kCompute: {
       const int id = static_cast<int>(msg.data[0]);
@@ -142,7 +142,8 @@ void Rank::execute(const Message& msg) {
       return;
     default: {
       CLB_CHECK_MSG(msg.tag >= kUserBase, "unknown AMPI message tag");
-      deliver_user(static_cast<int>(msg.src), msg.tag - kUserBase, msg.data);
+      deliver_user(static_cast<int>(msg.src), msg.tag - kUserBase,
+                   std::move(msg.data));
       return;
     }
   }

@@ -79,7 +79,7 @@ class Rank final : public Chare {
 
   void on_start() override;
   SimTime cost(const Message& msg) const override;
-  void execute(const Message& msg) override;
+  void execute(Message& msg) override;
   void on_resume_sync() override;
   std::size_t footprint_bytes() const override { return footprint_; }
 

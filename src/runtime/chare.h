@@ -40,7 +40,15 @@ class Chare {
   virtual SimTime cost(const Message& msg) const = 0;
 
   /// Handler body; runs after `cost(msg)` CPU has been consumed.
-  virtual void execute(const Message& msg) = 0;
+  ///
+  /// The handler owns `msg.data` while it runs: it may move the payload
+  /// out and keep it (a receiver that would otherwise copy the values),
+  /// and must not touch it after handing it on. When the handler returns,
+  /// RuntimeJob::finish_task offers whatever is left in `msg.data` to this
+  /// PE's recycled payloads; a moved-from vector owns no storage, so it is
+  /// skipped, and a payload taken over is recycled by nobody but its new
+  /// owner.
+  virtual void execute(Message& msg) = 0;
 
   /// Called after a load-balancing step completes (AtSync release).
   virtual void on_resume_sync() {}

@@ -272,7 +272,7 @@ void RuntimeJob::start_next_task(PeId pe) {
 
 void RuntimeJob::finish_task(PeId pe, SimTime begin, SimTime cost) {
   auto& p = pes_[static_cast<std::size_t>(pe)];
-  const Message& m = p.current;
+  Message& m = p.current;
   auto& seg = part_->seg(shard_of_pe(pe));
   seg.db.record_task(m.dest, cost.to_seconds());
   ++seg.tasks_executed;
@@ -283,7 +283,9 @@ void RuntimeJob::finish_task(PeId pe, SimTime begin, SimTime cost) {
   // holds it back), so `m` stays put while the handler runs.
   chares_[static_cast<std::size_t>(m.dest)]->execute(m);
   p.executing = false;
-  p.recycle(std::move(p.current.data));  // for this PE's next sends
+  // For this PE's next sends, unless the handler took the payload over:
+  // a moved-from vector owns no storage, and recycle skips it.
+  p.recycle(std::move(m.data));
   pump_service(pe);
   start_next_task(pe);
 }

@@ -237,7 +237,11 @@ class RuntimeJob {
   /// Cap on a PE's free list of payload vectors. The Jacobi2D PEs of the
   /// paper's Fig. 2 cell (16 blocks each) stop allocating at about 90
   /// buffers, which their ghost sends, ghost slots and compute messages
-  /// cycle through every iteration.
+  /// cycle through every iteration. Sized by count, it suits small
+  /// payloads only: a recycled buffer keeps the largest capacity it ever
+  /// held, so Mol3D, whose ghost payloads carry a whole cell's positions,
+  /// draws only its one-value compute messages from it and takes its
+  /// received ghosts over instead (docs/applications.md).
   static constexpr std::size_t kMaxFreePayloads = 96;
 
   struct Pe {
@@ -256,8 +260,10 @@ class RuntimeJob {
     std::vector<std::vector<double>> free_payloads;
     /// Buffers this PE's chares have drawn and the PE has not yet taken
     /// back. The free list takes a buffer back only against this count,
-    /// so a PE whose chares never draw (Mol3D, AMPI) keeps no idle
-    /// buffers.
+    /// so a PE whose chares never draw (AMPI) keeps no idle buffers, and
+    /// one whose chares draw only small payloads (Mol3D's compute
+    /// messages) keeps only small ones. A payload a handler took over
+    /// (Chare::execute) comes back empty and is not counted.
     std::size_t payloads_out = 0;
 
     std::vector<double> take_payload() {

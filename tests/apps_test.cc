@@ -582,6 +582,20 @@ TEST(Mol3dTest, ParticleCountConservedThroughRun) {
   EXPECT_EQ(total, 400u);
 }
 
+TEST(Mol3dTest, FinishedCellsHoldNoGhostPayloads) {
+  // A cell frees the payloads it took over once their iteration is
+  // computed: a kept buffer would hold the largest payload its face ever
+  // sent for the rest of the run.
+  AppRig rig{4};
+  populate_mol3d(*rig.job, small_mol(10));
+  rig.run();
+  for (std::size_t c = 0; c < rig.job->num_chares(); ++c) {
+    const auto& cell = dynamic_cast<const Mol3dChare&>(
+        rig.job->chare(static_cast<ChareId>(c)));
+    EXPECT_EQ(cell.held_ghost_values(), 0u) << cell.debug_state();
+  }
+}
+
 TEST(Mol3dTest, ParticlesStayInPeriodicBox) {
   const Mol3dConfig config = small_mol(10);
   AppRig rig{4};
@@ -1011,6 +1025,25 @@ TEST(Mol3dTest, RejectsMalformedGhostMessages) {
   MalformedRig m{populate_small_mol3d};
   m.deliver(kMolGhost, {0.0, 1.0, 1.0, 0.0, 0.5, 0.5, 0.5});
   m.deliver(kMolGhost, {1.0, 2.0, 0.0, 1.0, 0.5, 0.5, 0.5, 0.0, 0.0, 0.0});
+  // The same (iteration, side) again is a duplicate, rejected before its
+  // payload is taken over; the error names the tag and the side.
+  Message dup;
+  dup.src = 1;
+  dup.dest = 0;
+  dup.tag = kMolGhost;
+  dup.data = {0.0, 1.0, 0.0, 0.0};
+  try {
+    m.rig.job->chare(0).execute(dup);
+    ADD_FAILURE() << "duplicate ghost accepted";
+  } catch (const CheckFailure& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("duplicate ghost for side 1"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("tag 1"), std::string::npos) << what;
+  }
+  EXPECT_EQ(dup.data.size(), 4u);
+  // The other side of the next iteration is still free.
+  m.deliver(kMolGhost, {1.0, 3.0, 0.0, 0.0});
 }
 
 TEST(Mol3dTest, RejectsMalformedComputeMessages) {

@@ -22,7 +22,7 @@ class TickChare final : public Chare {
       : iterations_{iterations}, cost_{cost} {}
   void on_start() override { send(id(), 0, {}); }
   SimTime cost(const Message&) const override { return cost_; }
-  void execute(const Message&) override {
+  void execute(Message&) override {
     if (++done_ >= iterations_) {
       finish();
       return;
@@ -223,7 +223,7 @@ TEST(ProfileTest, IterationDurationsFromJob) {
    public:
     void on_start() override { send(id(), 0, {}); }
     SimTime cost(const Message&) const override { return SimTime::millis(10); }
-    void execute(const Message&) override {
+    void execute(Message&) override {
       report_iteration(iter_);
       if (++iter_ >= 6) {
         finish();

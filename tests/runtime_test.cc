@@ -33,7 +33,7 @@ class WorkerChare final : public Chare {
   void on_start() override { send(id(), 0, {}); }
   SimTime cost(const Message&) const override { return task_cost_; }
 
-  void execute(const Message&) override {
+  void execute(Message&) override {
     report_iteration(iter_);
     ++iter_;
     if (iter_ >= iterations_) {
@@ -70,7 +70,7 @@ class PingPongChare final : public Chare {
     if (starts_) send(peer_, 0, {0.0});
   }
   SimTime cost(const Message&) const override { return SimTime::micros(10); }
-  void execute(const Message& msg) override {
+  void execute(Message& msg) override {
     const int count = static_cast<int>(msg.data[0]) + 1;
     received_ = count;
     if (msg.tag == 1) {
@@ -522,7 +522,7 @@ TEST(RuntimeJobTest, NicContentionSerializesSimultaneousSends) {
         if (dest_ >= 0) send(dest_, 0, {}, 100'000);
       }
       SimTime cost(const Message&) const override { return SimTime::zero(); }
-      void execute(const Message&) override {
+      void execute(Message&) override {
         received_at = sim_.now();
         finish();
       }
@@ -576,6 +576,62 @@ TEST(RuntimeJobTest, NicContentionPreservesIntraNodeTraffic) {
   EXPECT_EQ(elapsed(with), elapsed(without));  // same node: no NIC involved
 }
 
+// ---------------------------------------------------- payload ownership
+
+/// Sends itself a payload drawn from its PE, takes that payload over when
+/// it arrives, and only in a later task hands it back and draws again.
+class PayloadKeeperChare final : public Chare {
+ public:
+  void on_start() override {
+    std::vector<double> payload = new_payload();
+    payload.assign(64, 1.0);
+    sent_buffer = payload.data();
+    send(id(), 0, std::move(payload));
+  }
+  SimTime cost(const Message&) const override { return SimTime::micros(1); }
+  void execute(Message& msg) override {
+    if (msg.tag == 0) {
+      kept_ = std::move(msg.data);
+      send(id(), 1);  // runs after the runtime has offered msg.data back
+      return;
+    }
+    kept_buffer = kept_.data();
+    kept_values = kept_.size();
+    recycle_payload(std::move(kept_));
+    first = new_payload();
+    second = new_payload();
+    finish();
+  }
+
+  const double* sent_buffer = nullptr;
+  const double* kept_buffer = nullptr;
+  std::size_t kept_values = 0;
+  std::vector<double> first, second;
+
+ private:
+  std::vector<double> kept_;
+};
+
+TEST(RuntimeJobTest, HandlerTakesItsPayloadOver) {
+  Rig rig{1};
+  auto owned = std::make_unique<PayloadKeeperChare>();
+  auto* keeper = owned.get();
+  static_cast<void>(rig.job->add_chare(std::move(owned)));
+  rig.job->start();
+  rig.sim.run();
+  ASSERT_TRUE(rig.job->finished());
+  // The handler kept the very buffer that was sent, values intact: the
+  // runtime neither copied it nor reclaimed it after the handler returned.
+  EXPECT_EQ(keeper->kept_buffer, keeper->sent_buffer);
+  EXPECT_EQ(keeper->kept_values, 64u);
+  // Handed back once, the buffer is on the free list once: the first draw
+  // gets it, cleared with its capacity, and the second a fresh vector.
+  EXPECT_EQ(keeper->first.data(), keeper->sent_buffer);
+  EXPECT_TRUE(keeper->first.empty());
+  EXPECT_GE(keeper->first.capacity(), 64u);
+  EXPECT_EQ(keeper->second.capacity(), 0u);
+}
+
 // ------------------------------------------------------------ reductions
 
 /// Contributes a value at start; records the global result and finishes.
@@ -585,7 +641,7 @@ class ReducerChare final : public Chare {
       : value_{value}, results_{results}, work_{work} {}
   void on_start() override { send(id(), 0, {}); }
   SimTime cost(const Message&) const override { return work_; }
-  void execute(const Message&) override { contribute(value_); }
+  void execute(Message&) override { contribute(value_); }
   void on_reduction_result(double result) override {
     results_->push_back(result);
     finish();

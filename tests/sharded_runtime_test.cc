@@ -398,7 +398,7 @@ class TinyWorker final : public Chare {
       : iterations_{iterations}, cost_{cost} {}
   void on_start() override { send(id(), 0, {}); }
   SimTime cost(const Message&) const override { return cost_; }
-  void execute(const Message&) override {
+  void execute(Message&) override {
     ++iter_;
     if (iter_ >= iterations_) {
       finish();

@@ -2,7 +2,8 @@
 // small-buffer-optimized callback storage promise that a warm simulator
 // performs ZERO heap allocations per schedule→fire cycle as long as the
 // capture fits Simulator::kInlineCallbackBytes. The runtime builds on it:
-// a warm stencil job delivers and executes messages without allocating.
+// a warm stencil job delivers and executes messages without allocating,
+// and a warm Mol3D job allocates only the payloads it sends.
 // This binary replaces the global allocator with a counting shim and pins
 // both promises.
 
@@ -15,6 +16,7 @@
 #include <new>
 
 #include "apps/jacobi2d.h"
+#include "apps/mol3d.h"
 #include "lb/null_lb.h"
 #include "runtime/job.h"
 #include "runtime/network.h"
@@ -272,18 +274,19 @@ TEST(SimAllocTest, WorkerTeamRoundsAreAllocationFree) {
   EXPECT_EQ(wide.lanes[2], 51u);
 }
 
-/// Arms the probe when chare 0 starts iteration `from` and disarms it when
-/// it starts iteration `to`, counting the tasks run in between.
+/// Arms the probe when chare 0, an `App`, starts iteration `from` and
+/// disarms it when it starts iteration `to`, counting the tasks run in
+/// between and, of those, the ones tagged `counted_tag`.
+template <class App>
 class IterationWindowProbe final : public ExecutionObserver {
  public:
-  IterationWindowProbe(RuntimeJob& job, int from, int to)
-      : job_{job}, from_{from}, to_{to} {}
+  IterationWindowProbe(RuntimeJob& job, int from, int to, int counted_tag = -1)
+      : job_{job}, from_{from}, to_{to}, counted_tag_{counted_tag} {}
 
   void on_task_executed(const RuntimeJob& /*job*/, PeId /*pe*/,
-                        CoreId /*core*/, ChareId /*chare*/, int /*tag*/,
+                        CoreId /*core*/, ChareId /*chare*/, int tag,
                         SimTime /*start*/, SimTime /*end*/) override {
-    const int it =
-        static_cast<const Jacobi2dChare&>(job_.chare(0)).iteration();
+    const int it = static_cast<const App&>(job_.chare(0)).iteration();
     if (!armed_ && !done_ && it >= from_) {
       armed_ = true;
       probe_arm();
@@ -292,15 +295,19 @@ class IterationWindowProbe final : public ExecutionObserver {
       done_ = true;
       allocs = probe_disarm();
     }
-    if (armed_) ++tasks;
+    if (armed_) {
+      ++tasks;
+      if (tag == counted_tag_) ++counted;
+    }
   }
 
   std::size_t allocs = 0;
   std::uint64_t tasks = 0;
+  std::uint64_t counted = 0;
 
  private:
   RuntimeJob& job_;
-  int from_, to_;
+  int from_, to_, counted_tag_;
   bool armed_ = false;
   bool done_ = false;
 };
@@ -333,7 +340,7 @@ TEST(SimAllocTest, WarmStencilJobDeliversMessagesWithoutAllocating) {
   config.layout.blocks_y = 4;
   config.layout.iterations = 150;
   populate_jacobi2d(job, config);
-  IterationWindowProbe probe{job, 70, 120};
+  IterationWindowProbe<Jacobi2dChare> probe{job, 70, 120};
   job.set_observer(&probe);
   job.start();
   host.drive(10'000'000);
@@ -341,6 +348,47 @@ TEST(SimAllocTest, WarmStencilJobDeliversMessagesWithoutAllocating) {
   // 16 blocks × 50 iterations × (2..4 ghosts + 1 compute) tasks.
   EXPECT_GT(probe.tasks, 16u * 50u * 3u);
   EXPECT_EQ(probe.allocs, 0u);
+}
+
+TEST(SimAllocTest, WarmMol3dJobAllocatesOnlyItsSendPayloads) {
+  // A small Mol3D job (36 cells on 4 PEs over two nodes, no load
+  // balancing) on a one-shard ShardedRuntimeHost. Once warm, a cell's
+  // received payloads change hands instead of being copied, its two
+  // iteration slots hold no storage of their own, its compute message
+  // comes from the PE's recycled payloads, and the force kernel and the
+  // leaver staging run on thread-local scratch. What is left per force
+  // computation is the six payloads its send phase builds and the
+  // integrator's exact-size particle vector. The window is the stencil
+  // test's, for the same per-iteration tallies.
+  ValidationScope validation{false};
+  MachineConfig mc;
+  mc.nodes = 2;
+  mc.cores_per_node = 2;
+  ShardedRuntimeHost::Config hc;
+  hc.window = shard_window_width(JobConfig{}.network);
+  ShardedRuntimeHost host{mc, hc};
+  VirtualMachine vm{host.machine(), "app", {0, 1, 2, 3}};
+  JobConfig jc;
+  jc.lb_period = 0;
+  RuntimeJob job{host, vm, jc, std::make_unique<NullLb>()};
+  Mol3dConfig config;
+  config.cells_x = 4;
+  config.cells_y = 3;
+  config.cells_z = 3;
+  config.num_particles = 400;
+  config.iterations = 150;
+  config.sec_per_pair = 1e-7;
+  populate_mol3d(job, config);
+  IterationWindowProbe<Mol3dChare> probe{job, 70, 120, kMolCompute};
+  job.set_observer(&probe);
+  job.start();
+  host.drive(10'000'000);
+  ASSERT_TRUE(job.finished());
+  // 36 cells × 50 iterations, give or take the cells ahead of chare 0.
+  EXPECT_GT(probe.counted, 36u * 45u);
+  EXPECT_LE(probe.allocs, 7u * probe.counted)
+      << probe.allocs << " allocations over " << probe.counted
+      << " force computations";
 }
 
 }  // namespace

@@ -67,7 +67,7 @@ class WorkerChare final : public Chare {
 
   void on_start() override { send(id(), 0, {}); }
   SimTime cost(const Message&) const override { return task_cost_; }
-  void execute(const Message&) override {
+  void execute(Message&) override {
     ++iter_;
     if (iter_ >= iterations_) {
       finish();
