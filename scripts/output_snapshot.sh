@@ -12,8 +12,9 @@
 #  - `penalty` for jacobi2d with ia-refine and greedy at 16 and 32 cores
 #    across --shards 1, 2, 4 and 8, a failmig-with-retries run, estimator
 #    runs with 16 tenants on 32 cores (the ia-refine-ewma preset and its
-#    spelled-out form, gain-gated and refine with --estimator), and
-#    --jobs without --shards (rejected);
+#    spelled-out form, gain-gated and refine with --estimator), an
+#    interference plan of spike, square-wave and Pareto hog VMs at
+#    --shards 1 and 4, and --jobs without --shards (rejected);
 #  - `penalty` for mol3d: perfbench's cloud-mol3d-tenants configuration
 #    (32 cores, 16 tenants, --estimator=regress) cut to 40 iterations, and
 #    a run beside the 2-core background job;
@@ -73,6 +74,13 @@ failmig=(--balancer=greedy --cores=32 --migration-retries=2
 for shards in 1 2 4; do
   run "penalty_failmig_retries_s${shards}" "${cloudlb}" penalty \
     "${common[@]}" "${failmig[@]}" --shards="${shards}"
+done
+
+hogs=(--balancer=ia-refine --cores=16
+  "--faults=spike(core=3,start=0.05,duration=0.2);square(core=9,start=0.02,period=0.1,on=0.04);pareto(cores=3,min_on=0.01,mean_off=0.08);seed(value=11)")
+for shards in 1 4; do
+  run "penalty_hogs_s${shards}" "${cloudlb}" penalty \
+    "${common[@]}" "${hogs[@]}" --shards="${shards}"
 done
 
 tenants=(--tenants=16 --cores=32)

@@ -35,4 +35,9 @@ struct AppSpec {
 /// Throws CheckFailure for unknown names.
 void populate_app(RuntimeJob& job, const AppSpec& spec);
 
+/// Number of chares populate_app adds for `spec`: the stencil block grid
+/// (32×16 = 512 by default) or Mol3D's cell grid (128). A job needs at
+/// least one chare per core. Throws CheckFailure for unknown names.
+[[nodiscard]] int app_chares(const AppSpec& spec);
+
 }  // namespace cloudlb

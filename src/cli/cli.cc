@@ -61,6 +61,18 @@ std::string fits_background(const CommandLine& line, const Flag&) {
          "-core background job; got --cores=" + line.text("cores");
 }
 
+// A job needs a chare per core: the stencils have 512 blocks, Mol3D 128
+// cells.
+std::string fits_app(const CommandLine& line, const Flag&) {
+  const std::vector<int> cores = line.ints("cores");
+  AppSpec app;
+  app.name = line.text("app");
+  const int chares = app_chares(app);
+  if (*std::max_element(cores.begin(), cores.end()) <= chares) return "";
+  return "--cores must not exceed the " + std::to_string(chares) +
+         " chares of --app=" + app.name + "; got --cores=" + line.text("cores");
+}
+
 // --with-bg keeps the background job beside the tenants, and penalty's
 // --jobs sizes the shard worker team; neither means anything alone.
 std::string needs_partner(const CommandLine& line, const Flag& flag) {
@@ -152,11 +164,11 @@ using enum FlagKind;
 
 // Deliberately accepted: --bg-iterations and --bg-weight with tenants
 // alone, where no background job runs, since perfbench's tenant workload
-// passes --bg-iterations; and --cores above an app's chare count, which
-// runs with idle cores (the scale cliff in ROADMAP.md).
+// passes --bg-iterations.
 const Flag kFlags[] = {
     {"app", kRuns, kString, "jacobi2d",
-     {.note = "application", .names = app_names}, "application to run"},
+     {.note = "application", .names = app_names}, "application to run",
+     fits_app},
     {"balancer", kOneRun | kReplay, kString, "ia-refine",
      {.note = "balancer", .names = balancer_names}, "strategy to run"},
     {"balancers", kSweep, kStringList, "null,ia-refine",

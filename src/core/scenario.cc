@@ -110,14 +110,8 @@ RunResult run_scenario_with(const ScenarioConfig& config,
   // it. An empty spec never constructs one, so faultless runs take no
   // fault branch anywhere.
   std::unique_ptr<FaultInjector> faults;
-  if (!config.faults.empty()) {
+  if (!config.faults.empty())
     faults = std::make_unique<FaultInjector>(FaultPlan::parse(config.faults));
-    // A live fault plan may perturb timestamps; degrade clock-invariant
-    // violations to counted recoveries instead of aborting the run. An
-    // inert plan keeps the strict policy (and the bit-identical run).
-    if (!faults->inert())
-      host.set_clock_fault_policy(EngineCore::ClockFaultPolicy::kRecover);
-  }
 
   std::vector<CoreId> app_cores(static_cast<std::size_t>(config.app_cores));
   std::iota(app_cores.begin(), app_cores.end(), 0);

@@ -90,10 +90,6 @@ void RuntimeJob::start() {
   pes_.clear();
   pes_.resize(num_pes);
   chare_done_.assign(num_chares, 0);
-  // Presized so per-node entries never relocate; each entry is only ever
-  // touched by the owning node's shard during windows.
-  nic_free_at_.assign(static_cast<std::size_t>(vm_.machine().num_nodes()),
-                      SimTime::zero());
 
   // PEs follow their cores' nodes onto the host's shards; a Simulator is
   // one shard holding everything.
@@ -169,7 +165,7 @@ void RuntimeJob::send(ChareId from, ChareId to, int tag,
   const CoreId src_core = core_of_pe(from_pe);
   const CoreId dst_core = core_of_pe(to_pe);
   const SimTime base = ctx_now(from_pe);
-  const SimTime delay = network_delay(src_core, dst_core, msg.bytes, base);
+  const SimTime delay = network_delay(src_core, dst_core, msg.bytes);
   auto deliver_cb = [this, m = std::move(msg)]() mutable {
     deliver(std::move(m));
   };
@@ -206,23 +202,10 @@ void RuntimeJob::route_to(PeId from_pe, PeId to_pe, SimTime base,
   engine_of_pe(to_pe).schedule_at_stamped(base + delay, base, std::move(cb));
 }
 
-SimTime RuntimeJob::network_delay(CoreId src, CoreId dst, std::size_t bytes,
-                                  SimTime now) {
-  const bool same_node = vm_.machine().same_node(src, dst);
-  if (same_node || !config_.network.model_nic_contention)
-    return delivery_delay(config_.network, bytes, same_node);
-
-  // Store-and-forward through the source node's egress NIC: the transfer
-  // occupies the link for bytes/bandwidth, queued behind earlier sends.
-  const int node = vm_.machine().node_of(src);
-  if (nic_free_at_.size() <= static_cast<std::size_t>(node))
-    nic_free_at_.resize(static_cast<std::size_t>(node) + 1, SimTime::zero());
-  const SimTime transfer = SimTime::from_seconds(
-      static_cast<double>(bytes) / config_.network.inter_node_bandwidth);
-  const SimTime depart =
-      std::max(now, nic_free_at_[static_cast<std::size_t>(node)]);
-  nic_free_at_[static_cast<std::size_t>(node)] = depart + transfer;
-  return (depart + transfer + config_.network.inter_node_latency) - now;
+SimTime RuntimeJob::network_delay(CoreId src, CoreId dst,
+                                  std::size_t bytes) const {
+  return delivery_delay(config_.network, bytes,
+                        vm_.machine().same_node(src, dst));
 }
 
 SimTime RuntimeJob::sampled_idle_at(PeId pe, SimTime t) const {
@@ -484,11 +467,8 @@ void RuntimeJob::attempt_migration(ChareId chare, PeId from, PeId to,
   const SimTime unpack =
       SimTime::from_seconds(config_.unpack_sec_per_byte *
                             static_cast<double>(bytes));
-  // The NIC ledger advances here, at the decision (or retry) instant, in
-  // move order.
-  const SimTime now = global_now();
   const SimTime transfer =
-      network_delay(core_of_pe(from), core_of_pe(to), bytes, now);
+      network_delay(core_of_pe(from), core_of_pe(to), bytes);
 
   enqueue_service(
       from, pack, [this, chare, from, to, attempt, unpack, transfer, fault] {

@@ -321,12 +321,9 @@ class RuntimeJob {
   /// Runs PE `pe`'s current task once its CPU demand is served.
   CLB_SHARD_CONFINED void finish_task(PeId pe, SimTime begin, SimTime cost);
   [[nodiscard]] SimTime sampled_idle_at(PeId pe, SimTime t) const;
-  /// Total delay for `bytes` from src to dst core at time `now`,
-  /// including NIC egress queueing when the network model enables it.
-  /// Mutates the sender node's NIC ledger, so it carries the sender's
-  /// shard context.
-  CLB_SHARD_CONFINED SimTime network_delay(CoreId src, CoreId dst,
-                                           std::size_t bytes, SimTime now);
+  /// Delivery delay for `bytes` from src to dst core (delivery_delay).
+  [[nodiscard]] SimTime network_delay(CoreId src, CoreId dst,
+                                      std::size_t bytes) const;
   CLB_SHARD_CONFINED void start_next_task(PeId pe);
   void enqueue_service(PeId pe, SimTime cpu, std::function<void()> done);
   // Services execute in the owning PE's engine context whenever pumped
@@ -388,12 +385,6 @@ class RuntimeJob {
   bool lb_in_progress_ = false;
   int migrations_in_flight_ = 0;
   int broadcasts_pending_ = 0;  ///< reduction broadcast events in flight
-
-  /// Per-source-node NIC egress availability (used when the network model
-  /// enables contention). Presized in start(): per-node entries are only
-  /// ever touched by the owning node's shard, so no lazy growth may move
-  /// the storage mid-window.
-  CLB_SHARD_CONFINED std::vector<SimTime> nic_free_at_;
 
   std::vector<SimTime> iteration_times_;
 

@@ -16,13 +16,6 @@ struct NetworkConfig {
   SimTime inter_node_latency = SimTime::micros(60);
   double intra_node_bandwidth = 4.0e9;  ///< bytes/second
   double inter_node_bandwidth = 1.0e9;  ///< bytes/second
-
-  /// When true, inter-node transfers of one job serialize through the
-  /// sending node's NIC (store-and-forward egress): simultaneous sends
-  /// queue instead of enjoying infinite parallel links. Off by default —
-  /// the paper's workloads are compute-dominated — but useful for
-  /// studying the §VI network concerns.
-  bool model_nic_contention = false;
 };
 
 /// Latency + size/bandwidth delivery delay for one message.

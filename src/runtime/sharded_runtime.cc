@@ -63,12 +63,6 @@ void ShardedRuntimeHost::schedule_action(SimTime t, std::function<void()> fn) {
   actions_.push_back(TimedAction{t, action_seq_++, std::move(fn)});
 }
 
-void ShardedRuntimeHost::set_clock_fault_policy(
-    EngineCore::ClockFaultPolicy policy) {
-  for (int s = 0; s < shards(); ++s)
-    engine_of_shard(s).set_clock_fault_policy(policy);
-}
-
 void ShardedRuntimeHost::register_job(RuntimeJob* job) {
   CLB_CHECK(job != nullptr);
   CLB_CHECK_MSG(!driving_, "jobs must register before drive()");

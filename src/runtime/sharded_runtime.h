@@ -102,10 +102,6 @@ class ShardedRuntimeHost {
   /// application events). This is how scenarios start jobs mid-run.
   CLB_BARRIER_PHASE void schedule_action(SimTime t, std::function<void()> fn);
 
-  /// Applies a clock-fault policy to every shard engine (fault plans).
-  CLB_BARRIER_PHASE void set_clock_fault_policy(
-      EngineCore::ClockFaultPolicy policy);
-
   /// Invoked from a global phase the moment a registered job finishes,
   /// with the exact finish instant (scenarios hang the power meter's
   /// stop_at here).

@@ -101,17 +101,9 @@ void EngineCore::run() {
 }
 
 void EngineCore::run_until(SimTime t) {
-  if (t < now_) {
-    // Normally API misuse — but after fault_advance_clock the caller's
-    // target can legitimately lag the perturbed clock. Recover mode treats
-    // the call as run_until(now()): drain what is due, never rewind.
-    CLB_CHECK_MSG(clock_policy_ == ClockFaultPolicy::kRecover,
-                  "run_until(" << t.to_string()
-                               << ") is behind the clock ("
-                               << now_.to_string() << ")");
-    ++clock_recoveries_;
-    t = now_;
-  }
+  CLB_CHECK_MSG(t >= now_, "run_until(" << t.to_string()
+                                        << ") is behind the clock ("
+                                        << now_.to_string() << ")");
   // live_head() skips stale (cancelled) heads without advancing the clock.
   for (const QueueEntry* head = live_head(); head != nullptr && head->time <= t;
        head = live_head())
@@ -120,15 +112,10 @@ void EngineCore::run_until(SimTime t) {
   // `t` — events executed above may have scheduled more work at times
   // <= t (e.g. schedule_at(now())), and all of it must have run before
   // the clock is allowed to jump. Guard the invariant so a future engine
-  // change can never move now() past an unexecuted pending event. Under
-  // kRecover the stragglers are executed (late, clamped to the clock)
-  // instead of aborting the run.
-  for (const QueueEntry* head = live_head(); head != nullptr && head->time <= t;
-       head = live_head()) {
-    CLB_CHECK_MSG(clock_policy_ == ClockFaultPolicy::kRecover,
-                  "run_until would advance the clock past a pending event");
-    fire_head(head);
-  }
+  // change can never move now() past an unexecuted pending event.
+  const QueueEntry* straggler = live_head();
+  CLB_CHECK_MSG(straggler == nullptr || straggler->time > t,
+                "run_until would advance the clock past a pending event");
   now_ = t;
   if (validation_enabled()) validate_integrity();
 }

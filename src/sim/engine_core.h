@@ -53,40 +53,6 @@ class EventHandle {
 /// the firing order is the one a single heap would give.
 class EngineCore {
  public:
-  /// What to do when the clock-consistency invariant is violated — an
-  /// event due to fire with a timestamp behind now(), or run_until()
-  /// finding live work at or before its target after draining. Impossible
-  /// in normal operation; reachable when fault injection intentionally
-  /// perturbs timestamps (fault_advance_clock), or on an engine bug.
-  enum class ClockFaultPolicy {
-    kStrict,   ///< CLB_CHECK: throw CheckFailure (the default; on in every
-               ///< build type, so engine bugs can never fire events late
-               ///< silently in release builds)
-    kRecover,  ///< execute the late event at the current clock (time never
-               ///< regresses), count it in clock_recoveries(), continue
-  };
-
-  void set_clock_fault_policy(ClockFaultPolicy policy) {
-    clock_policy_ = policy;
-  }
-  [[nodiscard]] ClockFaultPolicy clock_fault_policy() const {
-    return clock_policy_;
-  }
-
-  /// Late events executed under ClockFaultPolicy::kRecover.
-  [[nodiscard]] std::uint64_t clock_recoveries() const {
-    return clock_recoveries_;
-  }
-
-  /// Fault-injection hook: forcibly advances the clock to max(now(), t)
-  /// WITHOUT executing the events in between, leaving them pending in the
-  /// past — the perturbed-timestamp state the kRecover policy exists for.
-  /// Pair with kRecover (under kStrict the next step() over a bypassed
-  /// event throws). Never called by the engine itself.
-  void fault_advance_clock(SimTime t) {
-    if (t > now_) now_ = t;
-  }
-
   /// Bytes of capture state a callback may carry and still be stored
   /// inline (allocation-free). Sized for the fattest runtime closure:
   /// message delivery captures {this, Message} = 56 bytes (Message is 48:
@@ -250,9 +216,8 @@ class EngineCore {
   /// >= now().
   CLB_SHARD_CONFINED void run_before(SimTime t);
 
-  /// Time at which the most recent event executed (the clock it ran
-  /// under, so a kRecover late event reports its recovery time, not its
-  /// stale timestamp). Zero before any event has run. Unlike now(), this
+  /// Time at which the most recent event executed. Zero before any event
+  /// has run. Unlike now(), this
   /// never moves on run_until / run_before clock advancement — it is the
   /// high-water mark of *work*, which is what makes rewind_clock able to
   /// prove a window tail was empty.
@@ -463,28 +428,19 @@ class EngineCore {
     // slot vector, so the callable must not run from arena storage.
     Callback cb = std::move(slots_[entry.slot].cb);
     release_slot(entry.slot);
-    if (entry.time < now_) {
-      // A live event behind the clock: only possible when timestamps
-      // were perturbed (fault_advance_clock) or the engine is broken.
-      // Strict mode fails loudly in every build type; recover mode runs
-      // the event late, at the current clock, so time never regresses.
-      if (clock_policy_ == ClockFaultPolicy::kStrict) {
-        CLB_CHECK_MSG(entry.time >= now_,
-                      "event due at " << entry.time.to_string()
-                                      << " fired behind the clock ("
-                                      << now_.to_string() << ")");
-      }
-      ++clock_recoveries_;
-    } else {
-      now_ = entry.time;
-    }
+    // A live event behind the clock means the engine is broken; fail
+    // loudly in every build type rather than fire it late.
+    CLB_CHECK_MSG(entry.time >= now_,
+                  "event due at " << entry.time.to_string()
+                                  << " fired behind the clock ("
+                                  << now_.to_string() << ")");
+    now_ = entry.time;
     ++executed_;
     last_event_time_ = now_;
     if (validation_enabled()) {
       // The order contract: events fire in strictly increasing
       // (time, stamp, rank, seq) order — the determinism fingerprint
-      // every golden digest depends on. Holds for any clock policy,
-      // since faults perturb the clock, never the queue order.
+      // every golden digest depends on.
       const bool monotone =
           last_fired_time_ < entry.time ||
           (last_fired_time_ == entry.time &&
@@ -598,8 +554,6 @@ class EngineCore {
   std::uint64_t current_rank_ = 0;  ///< rank of the executing event
   const EngineCore* rank_source_ = nullptr;  ///< see set_rank_source
   std::uint64_t executed_ = 0;
-  ClockFaultPolicy clock_policy_ = ClockFaultPolicy::kStrict;
-  std::uint64_t clock_recoveries_ = 0;
   std::vector<QueueEntry> queue_;
   std::vector<QueueEntry> lane_;  ///< the current-instant lane (above)
   std::size_t lane_head_ = 0;     ///< first unconsumed lane entry

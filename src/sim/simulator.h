@@ -15,7 +15,7 @@ namespace cloudlb {
 /// across EngineCores behind ShardedSimulator (docs/sharded-engine.md).
 ///
 /// The whole mechanism — slot arena, 4-ary heap, lazy cancellation, trace
-/// hook, clock-fault policy — lives in EngineCore (sim/engine_core.h);
+/// hook, the strict clock — lives in EngineCore (sim/engine_core.h);
 /// Simulator is that core with a public, single-engine identity. The split
 /// exists so ShardedSimulator can own N cores without N copies of the
 /// machinery, while every single-threaded caller keeps this name.

@@ -536,6 +536,36 @@ TEST(CliTest, CoresBelowTheBackgroundJobFailAtParse) {
   EXPECT_EQ(parse_error("penalty", {"--cores=1", "--tenants=2"}), "");
 }
 
+// Each core needs a chare; one core more than an app has used to fail a
+// runtime check that named no flag.
+TEST(CliTest, CoresAboveTheAppsChareCountFailAtParse) {
+  const std::pair<std::string, int> apps[] = {
+      {"jacobi2d", 512}, {"wave2d", 512}, {"mol3d", 128}};
+  for (const auto& [app, chares] : apps) {
+    const std::string over = std::to_string(chares + 1);
+    for (const std::vector<std::string>& args :
+         {std::vector<std::string>{"penalty", "--cores=" + over},
+          {"timeline", "--cores=" + over},
+          {"record", "--out=unused.lbstats", "--cores=" + over},
+          {"sweep", "--cores=4," + over}}) {
+      std::vector<std::string> line = args;
+      line.push_back("--app=" + app);
+      expect_rejected(line, "--cores");
+      const std::string error = parse_error_of(line);
+      EXPECT_NE(error.find("--app=" + app), std::string::npos) << error;
+      EXPECT_NE(error.find(std::to_string(chares) + " chares"),
+                std::string::npos)
+          << error;
+    }
+    EXPECT_EQ(parse_error("penalty", {"--app=" + app,
+                                      "--cores=" + std::to_string(chares)}),
+              "");
+  }
+  const CliResult r = cli({"penalty", "--app=mol3d", "--cores=128",
+                           "--iterations=4", "--bg-iterations=10"});
+  EXPECT_EQ(r.code, 0) << r.err;
+}
+
 TEST(CliTest, RepeatedFlagFailsAtParse) {
   expect_rejected({"penalty", "--cores=4", "--cores=8"}, "--cores");
   EXPECT_NE(parse_error("penalty", {"--csv", "--csv"}).find("more than once"),
@@ -620,14 +650,22 @@ TEST(CliTest, HelpListsEachCommandsFlagsFromTheTable) {
 // flag that needs a partner still runs. Every out-of-range value, one flag
 // at a time, must fail the parse with an error naming that flag.
 
-// Free-form strings have no range to draw from; each needs a sample here.
-std::string free_text_sample(const std::string& name) {
+// Free-form strings have no range to draw from; each needs samples here.
+// The fault specs start hog VMs of all three kinds, so every pair also
+// runs beside live interference under the engine's strict clock.
+std::vector<std::string> free_text_samples(const std::string& name) {
   if (name == "faults")
-    return "spike(core=1,start=0.01,duration=0.02);seed(value=3)";
-  if (name == "out") return ::testing::TempDir() + "/cloudlb_grid.lbstats";
+    return {"spike(core=1,start=0.01,duration=0.02);seed(value=3)",
+            "square(core=2,start=0.005,period=0.04,on=0.02);"
+            "pareto(cores=2,min_on=0.005,mean_off=0.03);seed(value=5)"};
+  if (name == "out") return {::testing::TempDir() + "/cloudlb_grid.lbstats"};
   if (name == "trace")
-    return ::testing::TempDir() + "/cloudlb_grid_in.lbstats";
-  return "";
+    return {::testing::TempDir() + "/cloudlb_grid_in.lbstats"};
+  return {};
+}
+
+std::string free_text_sample(const std::string& name) {
+  return free_text_samples(name).front();
 }
 
 std::string arg(const Flag& flag, const std::string& value) {
@@ -652,8 +690,8 @@ std::vector<std::string> legal_args(const Flag& flag) {
     case FlagKind::kString:
     case FlagKind::kStringList:
       if (r.names == nullptr) {
-        values = {free_text_sample(flag.name)};
-        EXPECT_FALSE(values[0].empty()) << "no sample for --" << flag.name;
+        values = free_text_samples(flag.name);
+        EXPECT_FALSE(values.empty()) << "no sample for --" << flag.name;
         break;
       }
       for (const std::string& name : r.names())

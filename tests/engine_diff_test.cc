@@ -34,8 +34,7 @@ class Script {
   using Handle = decltype(std::declval<Engine&>().schedule_after(
       SimTime::zero(), [] {}));
 
-  Script(Engine& engine, std::uint64_t seed, bool faults)
-      : e_{engine}, rng_{seed}, faults_{faults} {}
+  Script(Engine& engine, std::uint64_t seed) : e_{engine}, rng_{seed} {}
 
   /// Runs `ops` driver operations, then drains; returns the log.
   std::vector<std::int64_t> run(int ops) {
@@ -47,7 +46,6 @@ class Script {
     }
     e_.run();
     note(e_.now().ns());
-    note(static_cast<std::int64_t>(e_.clock_recoveries()));
     return log_;
   }
 
@@ -151,18 +149,11 @@ class Script {
       churn();
     } else if (r < 92) {
       cancel_random();
-    } else if (faults_ && r < 97) {
-      e_.fault_advance_clock(e_.now() +
-                             kTick * static_cast<std::int64_t>(draw(5)));
-    } else if (faults_) {
-      // A target behind a perturbed clock: recovered, never rewound.
-      e_.run_until(e_.now() - kTick);
     }
   }
 
   Engine& e_;
   std::mt19937_64 rng_;
-  bool faults_;
   std::uint64_t budget_ = 3000;
   std::vector<Handle> handles_;
   std::vector<std::int64_t> log_;
@@ -170,39 +161,28 @@ class Script {
 
 using Trace = std::vector<std::pair<SimTime, std::uint64_t>>;
 
-void expect_same_run(std::uint64_t seed, bool faults) {
+void expect_same_run(std::uint64_t seed) {
   ValidationScope unvalidated{false};  // also in CLOUDLB_VALIDATE builds
   Simulator engine;
-  if (faults)
-    engine.set_clock_fault_policy(EngineCore::ClockFaultPolicy::kRecover);
   Trace engine_trace;
   engine.set_trace_hook([&engine_trace](SimTime t, std::uint64_t seq) {
     engine_trace.emplace_back(t, seq);
   });
   const std::vector<std::int64_t> engine_log =
-      Script<Simulator>{engine, seed, faults}.run(300);
+      Script<Simulator>{engine, seed}.run(300);
   engine.validate_integrity();
 
   EventOrderOracle oracle;
   const std::vector<std::int64_t> oracle_log =
-      Script<EventOrderOracle>{oracle, seed, faults}.run(300);
+      Script<EventOrderOracle>{oracle, seed}.run(300);
 
   ASSERT_EQ(engine_trace, oracle.trace()) << "seed " << seed;
   ASSERT_EQ(engine_log, oracle_log) << "seed " << seed;
   EXPECT_GT(engine_trace.size(), 100u) << "seed " << seed;
-  if (faults) {
-    EXPECT_GT(engine.clock_recoveries(), 0u) << "seed " << seed;
-  }
 }
 
 TEST(EngineDiffTest, RandomScriptsMatchTheOracle) {
-  for (std::uint64_t seed = 1; seed <= 120; ++seed)
-    expect_same_run(seed, /*faults=*/false);
-}
-
-TEST(EngineDiffTest, RandomScriptsWithClockFaultsMatchTheOracle) {
-  for (std::uint64_t seed = 1001; seed <= 1080; ++seed)
-    expect_same_run(seed, /*faults=*/true);
+  for (std::uint64_t seed = 1; seed <= 120; ++seed) expect_same_run(seed);
 }
 
 // Pending-key peeks agree with the oracle's least key, with stale heads

@@ -1,8 +1,8 @@
 // The hardened fault tier: spec-parser contracts, injector semantics, the
-// estimator and LB degradation paths, the simulator's clock-fault policy,
-// migration retry/abandon bookkeeping — and a 256-scenario property suite
-// that runs randomized fault plans against a real Jacobi2D job and checks
-// the invariants no fault is allowed to break:
+// estimator and LB degradation paths, migration retry/abandon bookkeeping
+// — and a 256-scenario property suite that runs randomized fault plans
+// against a real Jacobi2D job and checks the invariants no fault is
+// allowed to break:
 //
 //   1. no chare is ever lost or duplicated across a failed migration
 //      (pinned bitwise against the serial Jacobi reference),
@@ -404,59 +404,6 @@ TEST(LbFallbackTest, DisabledFallbackStillProducesAValidAssignment) {
   }
 }
 
-// ---------------------------------------------- simulator clock policy
-
-TEST(ClockFaultPolicyTest, StrictThrowsWhenAnEventFiresBehindTheClock) {
-  Simulator sim;
-  ASSERT_EQ(sim.clock_fault_policy(), Simulator::ClockFaultPolicy::kStrict);
-  bool fired = false;
-  sim.schedule_at(SimTime::millis(10), [&fired] { fired = true; });
-  sim.fault_advance_clock(SimTime::millis(20));
-  EXPECT_THROW(static_cast<void>(sim.step()), CheckFailure);
-  EXPECT_FALSE(fired);
-}
-
-TEST(ClockFaultPolicyTest, RecoverExecutesLateEventsAtTheCurrentClock) {
-  Simulator sim;
-  sim.set_clock_fault_policy(Simulator::ClockFaultPolicy::kRecover);
-  SimTime fired_at;
-  sim.schedule_at(SimTime::millis(10),
-                  [&fired_at, &sim] { fired_at = sim.now(); });
-  sim.fault_advance_clock(SimTime::millis(20));
-  EXPECT_TRUE(sim.step());
-  // The clock never regresses: the late event runs at the perturbed now().
-  EXPECT_EQ(fired_at, SimTime::millis(20));
-  EXPECT_EQ(sim.now(), SimTime::millis(20));
-  EXPECT_EQ(sim.clock_recoveries(), 1u);
-}
-
-TEST(ClockFaultPolicyTest, StrictRunUntilRefusesATargetBehindTheClock) {
-  Simulator sim;
-  sim.fault_advance_clock(SimTime::millis(20));
-  EXPECT_THROW(sim.run_until(SimTime::millis(15)), CheckFailure);
-}
-
-TEST(ClockFaultPolicyTest, RecoverRunUntilDrainsBypassedEvents) {
-  Simulator sim;
-  sim.set_clock_fault_policy(Simulator::ClockFaultPolicy::kRecover);
-  int fired = 0;
-  sim.schedule_at(SimTime::millis(10), [&fired] { ++fired; });
-  sim.fault_advance_clock(SimTime::millis(20));
-  // Target behind the perturbed clock: treated as run_until(now()), the
-  // bypassed event runs late, and time ends where it already was.
-  sim.run_until(SimTime::millis(15));
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(sim.now(), SimTime::millis(20));
-  EXPECT_GE(sim.clock_recoveries(), 1u);
-}
-
-TEST(ClockFaultPolicyTest, FaultAdvanceNeverMovesTheClockBackwards) {
-  Simulator sim;
-  sim.fault_advance_clock(SimTime::millis(20));
-  sim.fault_advance_clock(SimTime::millis(5));
-  EXPECT_EQ(sim.now(), SimTime::millis(20));
-}
-
 // ------------------------------------------- migration retry / abandon
 
 /// Forces a migration of every chare at every LB step: assignment
@@ -682,8 +629,6 @@ TEST_P(FaultScenarioTest, InvariantsSurviveRandomFaultPlans) {
   FaultInjector injector{FaultPlan::parse(spec)};
 
   Simulator sim;
-  if (!injector.inert())
-    sim.set_clock_fault_policy(Simulator::ClockFaultPolicy::kRecover);
   MachineConfig mc;
   mc.nodes = 1;
   mc.cores_per_node = 4;

@@ -499,83 +499,6 @@ TEST(RuntimeJobTest, IterationTimesMonotone) {
     EXPECT_GT(times[i], times[i - 1]);
 }
 
-// ----------------------------------------------------- NIC contention
-
-TEST(RuntimeJobTest, NicContentionSerializesSimultaneousSends) {
-  // Two large cross-node messages sent at the same instant from node 0:
-  // with contention modelled, the second transfer queues behind the first.
-  auto arrival_gap = [&](bool contention) {
-    JobConfig config;
-    config.lb_period = 0;
-    config.network.model_nic_contention = contention;
-    config.network.inter_node_bandwidth = 1e6;  // slow: 1 MB/s
-    // PEs 0,1 on node 0; PEs 2,3 on node 1 (cores_per_node = 2 here).
-    Rig rig{4, config, nullptr,
-            MachineConfig{.nodes = 2, .cores_per_node = 2, .core_speed_overrides = {}}};
-
-    /// Sender fires one 100 kB message at a cross-node receiver on start.
-    class BlastChare final : public Chare {
-     public:
-      BlastChare(ChareId dest, const Simulator& sim)
-          : dest_{dest}, sim_{sim} {}
-      void on_start() override {
-        if (dest_ >= 0) send(dest_, 0, {}, 100'000);
-      }
-      SimTime cost(const Message&) const override { return SimTime::zero(); }
-      void execute(Message&) override {
-        received_at = sim_.now();
-        finish();
-      }
-      SimTime received_at;
-
-     private:
-      ChareId dest_ = -1;
-      const Simulator& sim_;
-    };
-
-    // Chares 0,1 -> PEs 0,1 (node 0) send; chares 2,3 -> PEs 2,3 receive.
-    static_cast<void>(
-        rig.job->add_chare(std::make_unique<BlastChare>(2, rig.sim)));
-    static_cast<void>(
-        rig.job->add_chare(std::make_unique<BlastChare>(3, rig.sim)));
-    auto r2 = std::make_unique<BlastChare>(-1, rig.sim);
-    auto r3 = std::make_unique<BlastChare>(-1, rig.sim);
-    auto* p2 = r2.get();
-    auto* p3 = r3.get();
-    static_cast<void>(rig.job->add_chare(std::move(r2)));
-    static_cast<void>(rig.job->add_chare(std::move(r3)));
-    rig.job->start();
-    // Senders never finish (they get no message) — run until receivers do.
-    while (p2->received_at.is_zero() || p3->received_at.is_zero())
-      CLB_CHECK(rig.sim.step());
-    const SimTime a = std::min(p2->received_at, p3->received_at);
-    const SimTime b = std::max(p2->received_at, p3->received_at);
-    return (b - a).to_seconds();
-  };
-
-  // Transfer time is 0.1 s; without contention both arrive together.
-  EXPECT_LT(arrival_gap(false), 1e-6);
-  EXPECT_NEAR(arrival_gap(true), 0.1, 1e-3);
-}
-
-TEST(RuntimeJobTest, NicContentionPreservesIntraNodeTraffic) {
-  JobConfig with;
-  with.lb_period = 0;
-  with.network.model_nic_contention = true;
-  JobConfig without = with;
-  without.network.model_nic_contention = false;
-  auto elapsed = [&](JobConfig config) {
-    Rig rig{2, config, nullptr,
-            MachineConfig{.nodes = 1, .cores_per_node = 2, .core_speed_overrides = {}}};
-    static_cast<void>(rig.job->add_chare(std::make_unique<PingPongChare>(1, 20, true)));
-    static_cast<void>(rig.job->add_chare(std::make_unique<PingPongChare>(0, 20, false)));
-    rig.job->start();
-    rig.sim.run();
-    return rig.job->elapsed().ns();
-  };
-  EXPECT_EQ(elapsed(with), elapsed(without));  // same node: no NIC involved
-}
-
 // ---------------------------------------------------- payload ownership
 
 /// Sends itself a payload drawn from its PE, takes that payload over when

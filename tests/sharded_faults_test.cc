@@ -144,8 +144,6 @@ FaultedRun run_legacy(std::uint64_t rig_seed, const std::string& spec) {
   Rng rng{rig_seed};
   FaultInjector injector{FaultPlan::parse(spec)};
   Simulator sim;
-  if (!injector.inert())
-    sim.set_clock_fault_policy(Simulator::ClockFaultPolicy::kRecover);
   MachineConfig mc;
   mc.nodes = kNodes;
   mc.cores_per_node = kCoresPerNode;
@@ -184,8 +182,6 @@ FaultedRun run_sharded(std::uint64_t rig_seed, const std::string& spec,
   hc.parallel = workers > 1;
   hc.workers = workers;
   ShardedRuntimeHost host{mc, hc};
-  if (!injector.inert())
-    host.set_clock_fault_policy(EngineCore::ClockFaultPolicy::kRecover);
   std::vector<CoreId> ids(kCores);
   std::iota(ids.begin(), ids.end(), 0);
   VirtualMachine vm{host.machine(), "app", ids};

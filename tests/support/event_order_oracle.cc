@@ -29,11 +29,8 @@ bool EventOrderOracle::step() {
   Callback cb = std::move(head->second);
   pending_.erase(head);
   key_of_seq_.erase(key.seq);
-  if (key.time < now_) {
-    ++clock_recoveries_;
-  } else {
-    now_ = key.time;
-  }
+  CLB_CHECK(key.time >= now_);
+  now_ = key.time;
   trace_.emplace_back(key.time, key.seq);
   current_rank_ = key.rank;
   cb();
@@ -42,10 +39,7 @@ bool EventOrderOracle::step() {
 }
 
 void EventOrderOracle::run_until(SimTime t) {
-  if (t < now_) {
-    ++clock_recoveries_;
-    t = now_;
-  }
+  CLB_CHECK(t >= now_);
   while (!pending_.empty() && pending_.begin()->first.time <= t) step();
   now_ = t;
 }

@@ -18,11 +18,6 @@ namespace cloudlb {
 /// scheduling API closely enough that one templated script drives both
 /// (tests/engine_diff_test.cc), and it records the (time, seq) pairs it
 /// fires the way EngineCore's trace hook reports them.
-///
-/// Clock rules follow EngineCore under ClockFaultPolicy::kRecover: a
-/// pending event left behind the clock by fault_advance_clock fires late
-/// at the current clock, and run_until behind the clock drains what is
-/// due without rewinding. Each counts one recovery.
 class EventOrderOracle {
  public:
   using Callback = std::function<void()>;
@@ -68,18 +63,12 @@ class EventOrderOracle {
   }
   void run_until(SimTime t);
   void run_before(SimTime t);
-  void fault_advance_clock(SimTime t) {
-    if (t > now_) now_ = t;
-  }
 
   [[nodiscard]] std::uint64_t current_rank() const { return current_rank_; }
   void set_current_rank(std::uint64_t rank) { current_rank_ = rank; }
 
   [[nodiscard]] std::optional<Key> next_key() const;
   [[nodiscard]] std::size_t pending() const { return pending_.size(); }
-  [[nodiscard]] std::uint64_t clock_recoveries() const {
-    return clock_recoveries_;
-  }
 
   /// (time, seq) of every fired event, in firing order.
   [[nodiscard]] const std::vector<std::pair<SimTime, std::uint64_t>>& trace()
@@ -94,7 +83,6 @@ class EventOrderOracle {
   SimTime now_ = SimTime::zero();
   std::uint64_t next_seq_ = 1;
   std::uint64_t current_rank_ = 0;
-  std::uint64_t clock_recoveries_ = 0;
 };
 
 }  // namespace cloudlb

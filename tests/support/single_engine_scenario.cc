@@ -74,11 +74,8 @@ RunResult run_single_engine_scenario(const ScenarioConfig& config,
   VirtualMachine app_vm{machine, "app", app_cores};
 
   std::unique_ptr<FaultInjector> faults;
-  if (!config.faults.empty()) {
+  if (!config.faults.empty())
     faults = std::make_unique<FaultInjector>(FaultPlan::parse(config.faults));
-    if (!faults->inert())
-      sim.set_clock_fault_policy(Simulator::ClockFaultPolicy::kRecover);
-  }
 
   JobConfig app_job_config = config.job;
   app_job_config.name = config.app.name;

@@ -3,9 +3,12 @@
 #include <cstdint>
 #include <memory>
 #include <numeric>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "faults/fault_injector.h"
+#include "faults/fault_spec.h"
 #include "lb/framework.h"
 #include "lb/greedy_lb.h"
 #include "lb/null_lb.h"
@@ -42,6 +45,7 @@ struct SimulatorTestAccess {
     return sim.free_head_;
   }
   static std::size_t& stale(Simulator& sim) { return sim.stale_; }
+  static SimTime& now(Simulator& sim) { return sim.now_; }
 };
 
 struct RuntimeJobTestAccess {
@@ -252,6 +256,53 @@ TEST(SimulatorValidateTest, NonMonotoneTraceIsCaught) {
   ValidationScope validation{true};
   EXPECT_TRUE(sim.step());
   EXPECT_THROW(static_cast<void>(sim.step()), CheckFailure);
+}
+
+// ------------------------------------------------------ the clock contract
+//
+// No public call leaves a pending event behind the clock, so these tests
+// move now() past one directly: the state only an engine defect could
+// produce. The engine must refuse it in every build type, whatever
+// interference shares the engine.
+
+// Schedules an event 1 ms ahead, moves the clock 2 ms ahead, and expects
+// the next step to refuse the late event rather than run it.
+void expect_late_event_refused(Simulator& sim) {
+  bool fired = false;
+  sim.schedule_at(sim.now() + SimTime::millis(1), [&fired] { fired = true; });
+  SimulatorTestAccess::now(sim) = sim.now() + SimTime::millis(2);
+  try {
+    static_cast<void>(sim.step());
+    ADD_FAILURE() << "an event behind the clock fired";
+  } catch (const CheckFailure& failure) {
+    EXPECT_NE(std::string{failure.what()}.find("fired behind the clock"),
+              std::string::npos)
+        << failure.what();
+  }
+  EXPECT_FALSE(fired);
+}
+
+TEST(ClockContractTest, EventBehindTheClockThrows) {
+  Simulator sim;
+  expect_late_event_refused(sim);
+}
+
+TEST(ClockContractTest, EventBehindTheClockThrowsUnderALiveFaultPlan) {
+  Rig rig{2};
+  FaultInjector injector{FaultPlan::parse(
+      "spike(core=1,start=0.001,duration=0.05);"
+      "square(core=0,period=0.004,on=0.002);"
+      "pareto(cores=1,min_on=0.001,mean_off=0.002);seed(value=3)")};
+  ASSERT_FALSE(injector.inert());
+  injector.install_interference(rig.sim, rig.machine);
+  rig.sim.run_until(SimTime::millis(10));  // all three hogs under way
+  expect_late_event_refused(rig.sim);
+}
+
+TEST(ClockContractTest, RunUntilBehindTheClockThrows) {
+  Simulator sim;
+  sim.run_until(SimTime::millis(20));
+  EXPECT_THROW(sim.run_until(SimTime::millis(15)), CheckFailure);
 }
 
 // ---------------------------------------------------- runtime validators
