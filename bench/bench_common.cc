@@ -48,17 +48,10 @@ const PenaltyResult& PenaltyGrid::run(const std::string& app,
       base.value.bg_solo = run_background_solo(grid_config(app, "null", cores));
     });
 
-    PenaltyResult& result = cell.value;
-    result.base = base.value.base;
-    result.bg_solo = base.value.bg_solo;
-    result.combined = run_scenario(grid_config(app, balancer, cores));
-    result.app_penalty_pct =
-        percent_increase(result.combined.app_elapsed.to_seconds(),
-                         result.base.app_elapsed.to_seconds());
-    result.bg_penalty_pct = percent_increase(
-        result.combined.bg_elapsed->to_seconds(), result.bg_solo.to_seconds());
-    result.energy_overhead_pct = percent_increase(
-        result.combined.energy_joules, result.base.energy_joules);
+    cell.value =
+        penalty_result(base.value.base,
+                       run_scenario(grid_config(app, balancer, cores)),
+                       base.value.bg_solo);
   });
   return cell.value;
 }

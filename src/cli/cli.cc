@@ -534,7 +534,7 @@ CommandLine::CommandLine(std::string command,
     if (values_ok && value.flag->constraint != nullptr)
       errors.push_back(value.flag->constraint(*this, *value.flag));
   std::erase(errors, "");
-  CLB_CHECK_MSG(errors.empty(), join(errors, "\n"));
+  if (!errors.empty()) throw UsageError{join(errors, "\n")};
 }
 
 const CommandLine::Value& CommandLine::at(const std::string& name) const {
@@ -564,19 +564,24 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out,
             std::ostream& err) {
   const Command* command = find_command(
       args.empty() ? "" : args[0] == "--help" ? "help" : args[0]);
-  if (command == nullptr) {
-    if (!args.empty()) err << "unknown command: " << args[0] << "\n\n";
-    print_help(nullptr, err);
-    return 1;
-  }
-  const std::vector<std::string> rest(args.begin() + 1, args.end());
   try {
+    if (command == nullptr)
+      throw UsageError{args.empty() ? "no command given"
+                                    : "unknown command: " + args[0]};
+    const std::vector<std::string> rest(args.begin() + 1, args.end());
     if (command->run != nullptr)
       return command->run(CommandLine{command->name, rest}, out);
     // help: the overview, or with a command name that command's flags.
     const Command* topic = rest.size() == 1 ? find_command(rest[0]) : nullptr;
     if (topic == nullptr) static_cast<void>(CommandLine{command->name, rest});
     return print_help(topic, out);
+  } catch (const UsageError& error) {
+    err << "cloudlb: " << error.what() << '\n';
+    if (command == nullptr) {
+      err << '\n';
+      print_help(nullptr, err);
+    }
+    return 2;
   } catch (const CheckFailure& failure) {
     err << "error: " << failure.what() << '\n';
     return 1;

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <iosfwd>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -21,7 +22,9 @@ namespace cloudlb {
 ///
 /// Every flag is a row of one table (cli_flags()), and the command line
 /// is checked against it before any simulation starts. Returns a process
-/// exit code (0 on success, 1 on usage errors).
+/// exit code: 0 on success, 2 on a usage error (printed as
+/// `cloudlb: <message>`), 1 on a failure inside a run (printed as
+/// `error: <message>`, with the failed check's source location).
 int run_cli(const std::vector<std::string>& args, std::ostream& out,
             std::ostream& err);
 
@@ -30,6 +33,13 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out,
 enum class FlagKind { kInt, kDouble, kBool, kString, kIntList, kStringList };
 
 class CommandLine;
+
+/// A command line the flag table rejects, or an unknown command: the
+/// user's mistake, unlike a CheckFailure, which is the program's.
+class UsageError : public std::runtime_error {
+ public:
+  explicit UsageError(const std::string& what) : std::runtime_error(what) {}
+};
 
 /// Accepted values. A number (or list item) must be at least lo (above it,
 /// a 0, when open_lo); NaN and infinities fail every range, and an int
@@ -64,7 +74,7 @@ struct Flag {
 std::vector<const Flag*> cli_flags(const std::string& command);
 
 /// A command line checked against the flag table. The constructor throws
-/// CheckFailure naming every fault at once: a flag the command does not
+/// UsageError naming every fault at once: a flag the command does not
 /// accept, a repeated flag, a positional argument, a malformed or
 /// out-of-range value, a broken constraint. The getters read a flag's
 /// value, or its default when it was not given.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
 
 #include "apps/wave2d.h"
 #include "core/balancer_factory.h"
@@ -215,32 +216,41 @@ SimTime run_background_solo(const ScenarioConfig& config) {
   return bg_job.elapsed();
 }
 
-PenaltyResult run_penalty_experiment(const ScenarioConfig& config) {
+PenaltyResult penalty_result(RunResult base, RunResult combined,
+                             std::optional<SimTime> bg_solo) {
   PenaltyResult out;
-
-  ScenarioConfig solo = config;
-  solo.with_background = false;
-  solo.tenants = 0;
-  solo.faults.clear();  // the normalization run stays a clean reference
-  out.base = run_scenario(solo);
-
-  // "Combined" = the configured interference sources (the 2-core BG job
-  // and/or a tenant field); "base" = the same app with neither.
-  ScenarioConfig combined = config;
-  CLB_CHECK_MSG(combined.with_background || combined.tenants > 0,
-                "penalty experiment needs some interference source");
-  out.combined = run_scenario(combined);
-
+  out.base = std::move(base);
+  out.combined = std::move(combined);
   out.app_penalty_pct = percent_increase(out.combined.app_elapsed.to_seconds(),
                                          out.base.app_elapsed.to_seconds());
-  if (out.combined.bg_elapsed.has_value()) {
-    out.bg_solo = run_background_solo(config);
+  if (bg_solo.has_value()) {
+    CLB_CHECK_MSG(out.combined.bg_elapsed.has_value(),
+                  "a BG solo time needs a combined run with the BG job");
+    out.bg_solo = *bg_solo;
     out.bg_penalty_pct = percent_increase(
         out.combined.bg_elapsed->to_seconds(), out.bg_solo.to_seconds());
   }
   out.energy_overhead_pct =
       percent_increase(out.combined.energy_joules, out.base.energy_joules);
   return out;
+}
+
+PenaltyResult run_penalty_experiment(const ScenarioConfig& config) {
+  ScenarioConfig solo = config;
+  solo.with_background = false;
+  solo.tenants = 0;
+  solo.faults.clear();  // the normalization run stays a clean reference
+  RunResult base = run_scenario(solo);
+
+  // "Combined" = the configured interference sources (the 2-core BG job
+  // and/or a tenant field); "base" = the same app with neither.
+  CLB_CHECK_MSG(config.with_background || config.tenants > 0,
+                "penalty experiment needs some interference source");
+  RunResult combined = run_scenario(config);
+
+  std::optional<SimTime> bg_solo;
+  if (combined.bg_elapsed.has_value()) bg_solo = run_background_solo(config);
+  return penalty_result(std::move(base), std::move(combined), bg_solo);
 }
 
 }  // namespace cloudlb

@@ -127,6 +127,17 @@ struct PenaltyResult {
   double energy_overhead_pct = 0.0;  ///< extra energy vs. the base run, %
 };
 
+/// The one penalty formula: the combined run's app time and energy over
+/// `base`'s, and, when the BG job ran (`bg_solo` set), its combined time
+/// over `bg_solo`. The caller picks the normalization runs: `penalty`
+/// uses a solo run with the same balancer, the fig2/fig4 grids a noLB
+/// one (EXPERIMENTS.md).
+PenaltyResult penalty_result(RunResult base, RunResult combined,
+                             std::optional<SimTime> bg_solo);
+
+/// Runs the app alone (same balancer, no interference or faults), the
+/// configured combined scenario and, with the BG job, the BG solo run,
+/// and scores them with penalty_result().
 PenaltyResult run_penalty_experiment(const ScenarioConfig& config);
 
 /// Percentage increase of `value` over `base` ((value/base − 1)·100).

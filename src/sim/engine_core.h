@@ -89,7 +89,7 @@ class EngineCore {
   /// Every schedule call takes the callback by rvalue reference and moves
   /// it exactly once, into its arena slot: a closure built at the call
   /// site is not relocated again on its way in.
-  CLB_WARM_PATH EventHandle schedule_at(SimTime t, Callback&& cb) {
+  EventHandle schedule_at(SimTime t, Callback&& cb) {
     return schedule_at_ranked(t, now_, inherited_rank(), std::move(cb));
   }
 
@@ -105,8 +105,7 @@ class EngineCore {
   /// clock (the sender's window lags the barrier) but never ahead of `t`.
   /// The event inherits the executing event's rank (see
   /// schedule_at_ranked and inherited_rank).
-  CLB_WARM_PATH EventHandle schedule_at_stamped(SimTime t, SimTime stamp,
-                                                Callback&& cb) {
+  EventHandle schedule_at_stamped(SimTime t, SimTime stamp, Callback&& cb) {
     return schedule_at_ranked(t, stamp, inherited_rank(), std::move(cb));
   }
 
@@ -121,9 +120,8 @@ class EngineCore {
   /// (current_rank()), gives one interleave for events whose time AND
   /// stamp both tie, on every shard count. Code that assigns no rank
   /// carries 0, where ordering degenerates to (time, stamp, seq).
-  CLB_WARM_PATH EventHandle schedule_at_ranked(SimTime t, SimTime stamp,
-                                               std::uint64_t rank,
-                                               Callback&& cb) {
+  EventHandle schedule_at_ranked(SimTime t, SimTime stamp, std::uint64_t rank,
+                                 Callback&& cb) {
     CLB_CHECK_MSG(t >= now_, "event scheduled in the past: t="
                                  << t.to_string()
                                  << " now=" << now_.to_string());
@@ -169,7 +167,7 @@ class EngineCore {
   void set_current_rank(std::uint64_t rank) { current_rank_ = rank; }
 
   /// Schedules `cb` at now() + delay (delay must be >= 0).
-  CLB_WARM_PATH EventHandle schedule_after(SimTime delay, Callback&& cb) {
+  EventHandle schedule_after(SimTime delay, Callback&& cb) {
     CLB_CHECK(!delay.is_negative());
     return schedule_at(now_ + delay, std::move(cb));
   }
@@ -178,7 +176,7 @@ class EngineCore {
   /// or inert handle is a no-op; returns whether something was cancelled.
   /// Stale handles (their slot was recycled by a later event) are detected
   /// by the generation check and refused.
-  [[nodiscard]] CLB_WARM_PATH bool cancel(EventHandle h) {
+  [[nodiscard]] bool cancel(EventHandle h) {
     if (!h.valid()) return false;
     if (h.slot_ >= slots_.size() || slots_[h.slot_].gen != h.gen_)
       return false;  // already fired or cancelled; the slot may be reused
@@ -193,7 +191,7 @@ class EngineCore {
   }
 
   /// Executes the next pending event. Returns false if none remain.
-  [[nodiscard]] CLB_WARM_PATH bool step() {
+  [[nodiscard]] bool step() {
     const QueueEntry* head = live_head();
     if (head == nullptr) return false;
     fire_head(head);
@@ -363,7 +361,7 @@ class EngineCore {
   /// Inserts `e` (due at now()) into the lane; false when it must go to
   /// the heap: the lane holds another instant, or `e` belongs more than
   /// kLaneMaxShift entries from the back.
-  CLB_WARM_PATH bool lane_insert(const QueueEntry& e) {
+  bool lane_insert(const QueueEntry& e) {
     std::size_t pos = lane_.size();
     if (pos != lane_head_ && lane_.back().time != e.time) return false;
     for (std::size_t shifts = 0; pos != lane_head_ && lane_[pos - 1] > e;
@@ -382,7 +380,7 @@ class EngineCore {
     return true;
   }
 
-  CLB_WARM_PATH void pop_lane() {
+  void pop_lane() {
     if (++lane_head_ == lane_.size()) {
       lane_.clear();  // drained: restart at the front, keeping capacity
       lane_head_ = 0;
@@ -392,7 +390,7 @@ class EngineCore {
   /// The lesser live head of the lane and the heap by the full key, or
   /// null when nothing is pending. Stale heads met on the way are shed
   /// and retired from the stale ledger.
-  CLB_WARM_PATH const QueueEntry* live_head() {
+  const QueueEntry* live_head() {
     for (;;) {
       const QueueEntry* head;
       if (lane_head_ != lane_.size() &&
@@ -410,7 +408,7 @@ class EngineCore {
   }
 
   /// Removes `head`, the front of the heap or of the lane.
-  CLB_WARM_PATH void pop_head(const QueueEntry* head) {
+  void pop_head(const QueueEntry* head) {
     if (head == queue_.data()) {
       pop_entry();
     } else {
@@ -419,7 +417,7 @@ class EngineCore {
   }
 
   /// Pops `head` (live_head's result) off its container and runs it.
-  CLB_WARM_PATH void fire_head(const QueueEntry* head) {
+  void fire_head(const QueueEntry* head) {
     const QueueEntry entry = *head;
     pop_head(head);
     // Move the callback out and release the slot *before* invoking: the
@@ -472,7 +470,7 @@ class EngineCore {
   // --- 4-ary min-heap over queue_ (manual layout so cancellation can
   // compact stale entries in place, which a std::priority_queue cannot).
 
-  CLB_WARM_PATH void push_entry(const QueueEntry& e) {
+  void push_entry(const QueueEntry& e) {
     queue_.push_back(e);
     std::size_t i = queue_.size() - 1;
     while (i > 0) {
@@ -484,7 +482,7 @@ class EngineCore {
     queue_[i] = e;
   }
 
-  CLB_WARM_PATH void pop_entry() {
+  void pop_entry() {
     queue_.front() = queue_.back();
     queue_.pop_back();
     if (queue_.size() > 1) sift_down(0);
@@ -497,14 +495,14 @@ class EngineCore {
   /// silently until compaction resynced it; now it is an integrity
   /// failure in every build type, same as validate_integrity() would
   /// report.
-  CLB_WARM_PATH void retire_stale() {
+  void retire_stale() {
     CLB_CHECK_MSG(stale_ > 0,
                   "stale-entry ledger underflow: skipping a cancelled head "
                   "with stale_ == 0 (accounting drifted)");
     --stale_;
   }
 
-  CLB_WARM_PATH void sift_down(std::size_t i) {
+  void sift_down(std::size_t i) {
     const std::size_t n = queue_.size();
     const QueueEntry item = queue_[i];
     for (;;) {
@@ -521,9 +519,9 @@ class EngineCore {
     queue_[i] = item;
   }
 
-  CLB_WARM_PATH void compact_queue();
+  void compact_queue();
 
-  CLB_WARM_PATH std::uint32_t acquire_slot() {
+  std::uint32_t acquire_slot() {
     if (free_head_ != kNoSlot) {
       const std::uint32_t slot = free_head_;
       free_head_ = slots_[slot].next_free;
@@ -535,7 +533,7 @@ class EngineCore {
     return slot;
   }
 
-  CLB_WARM_PATH void release_slot(std::uint32_t slot) {
+  void release_slot(std::uint32_t slot) {
     Slot& s = slots_[slot];
     s.cb = nullptr;
     ++s.gen;  // invalidates every outstanding handle/entry

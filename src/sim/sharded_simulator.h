@@ -198,10 +198,10 @@ class ShardedSimulator {
                                              const char* what) const;
   [[nodiscard]] CLB_BARRIER_PHASE std::optional<SimTime> earliest_pending();
   CLB_BARRIER_PHASE void flush_mailboxes();
-  // Warm-path: one closure per window is handed to WorkerTeam::run_round
-  // by FunctionRef (borrowed, never type-erased into an owning wrapper),
-  // so driving a round allocates nothing.
-  CLB_SHARD_CONFINED CLB_WARM_PATH void run_window(SimTime end);
+  // One closure per window is handed to WorkerTeam::run_round by
+  // FunctionRef (borrowed, never type-erased into an owning wrapper), so
+  // driving a round allocates nothing (SimAllocTest pins it).
+  CLB_SHARD_CONFINED void run_window(SimTime end);
   CLB_BARRIER_PHASE void emit_trace();
   [[nodiscard]] SimTime window_end_for(SimTime t) const;
 

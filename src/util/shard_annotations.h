@@ -46,16 +46,6 @@
 //   inside it, a loop scheduling on an `EngineCore` must use
 //   `schedule_at_ranked`/`schedule_at_stamped`, never bare
 //   `schedule_at`/`schedule_after`. [analyzer-unranked-fanout]
-// - CLB_WARM_PATH on a function: it sits on the steady-state
-//   schedule→fire cycle (PR 2's zero-allocation contract, pinned
-//   dynamically by tests/sim_alloc_test.cc) and must not transitively
-//   reach a heap allocation or a blocking call through any depth of
-//   helpers. Amortized vector growth (push_back onto reserved
-//   capacity), CLB_CHECK* failure paths and validation_enabled()-gated
-//   audits are cold and exempt; blocking primitives in the annotated
-//   function's own body are its audited mechanism (a worker-team round
-//   barrier IS a condition-variable wait) and exempt too. Enforced by
-//   the whole-program link step, not per TU. [analyzer-warm-path]
 
 #if defined(__clang__)
 #define CLB_SHARD_ANNOTATE(text) __attribute__((annotate(text)))
@@ -67,4 +57,3 @@
 #define CLB_BARRIER_PHASE CLB_SHARD_ANNOTATE("clb::barrier_phase")
 #define CLB_CANONICAL_COMBINE CLB_SHARD_ANNOTATE("clb::canonical_combine")
 #define CLB_RANKED_FANOUT CLB_SHARD_ANNOTATE("clb::ranked_fanout")
-#define CLB_WARM_PATH CLB_SHARD_ANNOTATE("clb::warm_path")

@@ -7,8 +7,6 @@
 #include <type_traits>
 #include <utility>
 
-#include "util/shard_annotations.h"
-
 namespace cloudlb {
 
 /// Move-only callable wrapper with small-buffer optimization.
@@ -51,12 +49,11 @@ class SmallFunction<R(Args...), InlineBytes> {
     }
   }
 
-  // The move ops, reset and operator() are warm-path: for inline
-  // callables (the engine's contract for every runtime callback) they
-  // never touch the heap. Only the converting constructor's over-budget
-  // fallback allocates, and the whole-program warm check flags any
-  // over-SBO construction it can see on an annotated path.
-  CLB_WARM_PATH SmallFunction(SmallFunction&& other) noexcept
+  // The move ops, reset and operator() never touch the heap for inline
+  // callables (the engine's contract for every runtime callback). Only
+  // the converting constructor's over-budget fallback allocates;
+  // tests/sim_alloc_test.cc pins both sides.
+  SmallFunction(SmallFunction&& other) noexcept
       : ops_{other.ops_} {
     if (ops_ != nullptr) {
       ops_->relocate(other.buffer_, buffer_);
@@ -64,7 +61,7 @@ class SmallFunction<R(Args...), InlineBytes> {
     }
   }
 
-  CLB_WARM_PATH SmallFunction& operator=(SmallFunction&& other) noexcept {
+  SmallFunction& operator=(SmallFunction&& other) noexcept {
     if (this != &other) {
       reset();
       ops_ = other.ops_;
@@ -87,7 +84,7 @@ class SmallFunction<R(Args...), InlineBytes> {
   ~SmallFunction() { reset(); }
 
   /// Destroys the held callable, if any.
-  CLB_WARM_PATH void reset() noexcept {
+  void reset() noexcept {
     if (ops_ != nullptr) {
       ops_->destroy(buffer_);
       ops_ = nullptr;
@@ -99,7 +96,7 @@ class SmallFunction<R(Args...), InlineBytes> {
     return !static_cast<bool>(f);
   }
 
-  CLB_WARM_PATH R operator()(Args... args) {
+  R operator()(Args... args) {
     return ops_->invoke(buffer_, std::forward<Args>(args)...);
   }
 

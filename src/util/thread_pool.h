@@ -110,12 +110,10 @@ class WorkerTeam {
   /// blocks until all invocations return. Not reentrant: only the owning
   /// thread drives rounds, one at a time. The closure is borrowed, not
   /// owned (FunctionRef): it lives on the caller's frame for the whole
-  /// round, so handing a round to the team never allocates — this runs
-  /// once per conservative window and is warm-path (its own mutex and
-  /// condition-variable waits ARE the round barrier, the audited
-  /// exemption CLB_WARM_PATH's contract carves out for annotated
-  /// bodies).
-  CLB_SHARD_CONFINED CLB_WARM_PATH void run_round(FunctionRef<void(int)> fn);
+  /// round, so handing a round to the team never allocates. It runs
+  /// once per conservative window (SimAllocTest pins it at zero
+  /// allocations).
+  CLB_SHARD_CONFINED void run_round(FunctionRef<void(int)> fn);
 
  private:
   void worker_main(int index);

@@ -19,7 +19,6 @@ typedef decltype(sizeof(0)) cloudlb_mock_size_t;
 #define CLB_BARRIER_PHASE CLB_SHARD_ANNOTATE("clb::barrier_phase")
 #define CLB_CANONICAL_COMBINE CLB_SHARD_ANNOTATE("clb::canonical_combine")
 #define CLB_RANKED_FANOUT CLB_SHARD_ANNOTATE("clb::ranked_fanout")
-#define CLB_WARM_PATH CLB_SHARD_ANNOTATE("clb::warm_path")
 
 namespace std {
 

@@ -12,17 +12,6 @@ a missing finding, an extra finding, or a finding on the wrong line all
 fail. Files without annotations (the *_good.cc corpus, including the
 NOLINT-CLOUDLB suppression fixture) must come back empty.
 
-Multi-TU cases under fixtures/multi_tu/<case>/ exercise the
-whole-program pipeline instead: every tu*.cc in the case is run through
-`--emit-summary` into a scratch dir, a second emit proves the content
-cache re-parses zero TUs, and `--link` findings are matched (file, line,
-check) two-way against the case's EXPECT-ANALYZER annotations — bad
-twins must fire exactly where annotated, good twins must stay silent.
-
-`--case <name>` runs one multi-TU case end-to-end and exits with the
-link verdict (1 when findings fired as annotated, 0 otherwise), which is
-what the ctest WILL_FAIL wiring for the *_bad families drives.
-
 Exit codes: 0 all fixtures behave, 1 mismatch, 2 harness error, 77
 skipped (analyzer binary not built).
 """
@@ -34,7 +23,6 @@ import pathlib
 import re
 import subprocess
 import sys
-import tempfile
 
 EXPECT_RE = re.compile(r"//\s*EXPECT-ANALYZER\(([a-z0-9-]+(?:,[a-z0-9-]+)*)\)")
 FINDING_RE = re.compile(
@@ -62,83 +50,12 @@ def run_analyzer(binary: pathlib.Path, fixture: pathlib.Path,
     return proc.returncode, proc.stdout, proc.stderr
 
 
-def hermetic_flags(include_dir: pathlib.Path) -> list[str]:
-    return ["-xc++", "-std=c++17", "-nostdinc", f"-I{include_dir}"]
-
-
-def parse_findings(out: str) -> set[tuple[str, int, str]]:
-    """(file basename, line, check) triples from analyzer/link output."""
-    findings: set[tuple[str, int, str]] = set()
-    for line in out.splitlines():
-        match = FINDING_RE.match(line)
-        if match is not None:
-            findings.add((pathlib.Path(match.group("file")).name,
-                          int(match.group("line")), match.group("check")))
-    return findings
-
-
-def run_multi_tu_case(binary: pathlib.Path, case_dir: pathlib.Path,
-                      include_dir: pathlib.Path) -> tuple[int, list[str]]:
-    """Emits, re-emits (cache check) and links one multi-TU case.
-
-    Returns (link exit code, list of mismatch messages). Any tool error
-    surfaces as a mismatch message with exit code 2.
-    """
-    sources = sorted(case_dir.glob("tu*.cc"))
-    problems: list[str] = []
-    if len(sources) < 3:
-        return 2, [f"{case_dir.name}: expected >= 3 TUs, found "
-                   f"{len(sources)}"]
-    expected: set[tuple[str, int, str]] = set()
-    for source in sources:
-        for line_no, check in expected_findings(source):
-            expected.add((source.name, line_no, check))
-
-    with tempfile.TemporaryDirectory(prefix="cloudlb_summaries_") as tmp:
-        emit_cmd = [str(binary), f"--emit-summary={tmp}",
-                    *[str(s) for s in sources], "--",
-                    *hermetic_flags(include_dir)]
-        cold = subprocess.run(emit_cmd, capture_output=True, text=True)
-        if cold.returncode != 0:
-            return 2, [f"{case_dir.name}: --emit-summary failed:\n"
-                       f"{cold.stderr}"]
-        warm = subprocess.run(emit_cmd, capture_output=True, text=True)
-        if warm.returncode != 0:
-            return 2, [f"{case_dir.name}: warm --emit-summary failed:\n"
-                       f"{warm.stderr}"]
-        if f"re-parsed 0/{len(sources)}" not in warm.stdout:
-            problems.append(
-                f"{case_dir.name}: warm emit re-parsed TUs despite "
-                f"unchanged sources: {warm.stdout.strip()!r}")
-
-        link = subprocess.run([str(binary), f"--link={tmp}"],
-                              capture_output=True, text=True)
-        if link.returncode == 2:
-            return 2, [f"{case_dir.name}: --link reported a tool error:\n"
-                       f"{link.stderr}"]
-        actual = parse_findings(link.stdout)
-        for name, line_no, check in sorted(expected - actual):
-            problems.append(f"{case_dir.name}/{name}:{line_no}: expected "
-                            f"analyzer-{check} but the link stayed silent")
-        for name, line_no, check in sorted(actual - expected):
-            problems.append(f"{case_dir.name}/{name}:{line_no}: unexpected "
-                            f"analyzer-{check} (no EXPECT-ANALYZER "
-                            "annotation)")
-        if (link.returncode != 0) != bool(actual):
-            problems.append(f"{case_dir.name}: link exit {link.returncode} "
-                            f"disagrees with {len(actual)} findings")
-        return link.returncode, problems
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--binary", default="",
                         help="path to cloudlb-analyzer (empty => skip)")
     parser.add_argument("--fixtures", required=True,
                         help="fixture root (holds src/ and include/)")
-    parser.add_argument("--case", default="",
-                        help="run one multi_tu/<case> end-to-end and exit "
-                             "with the link verdict (for WILL_FAIL wiring)")
     args = parser.parse_args()
 
     binary = pathlib.Path(args.binary) if args.binary else None
@@ -150,21 +67,6 @@ def main() -> int:
 
     fixtures_root = pathlib.Path(args.fixtures)
     include_dir = fixtures_root / "include"
-    multi_tu_root = fixtures_root / "multi_tu"
-
-    if args.case:
-        case_dir = multi_tu_root / args.case
-        if not case_dir.is_dir():
-            print(f"analyzer selftest: no such multi-TU case {case_dir}",
-                  file=sys.stderr)
-            return 2
-        code, problems = run_multi_tu_case(binary, case_dir, include_dir)
-        for problem in problems:
-            print(problem, file=sys.stderr)
-        # Any tool error or expectation mismatch exits 0 so a WILL_FAIL
-        # test (which passes only on nonzero) surfaces it as a failure;
-        # a clean run propagates the link verdict (1 iff findings fired).
-        return 0 if problems else code
 
     fixtures = sorted((fixtures_root / "src").glob("*.cc"))
     if not fixtures or not include_dir.is_dir():
@@ -208,17 +110,8 @@ def main() -> int:
                   "(no EXPECT-ANALYZER annotation)", file=sys.stderr)
             failures += 1
 
-    multi_tu_cases = (sorted(d for d in multi_tu_root.iterdir()
-                             if d.is_dir())
-                      if multi_tu_root.is_dir() else [])
-    for case_dir in multi_tu_cases:
-        _, problems = run_multi_tu_case(binary, case_dir, include_dir)
-        for problem in problems:
-            print(problem, file=sys.stderr)
-        failures += len(problems)
-
     print(f"analyzer selftest: {len(fixtures)} fixtures, "
-          f"{len(multi_tu_cases)} multi-TU cases, {failures} failure(s)")
+          f"{failures} failure(s)")
     return 1 if failures else 0
 
 

@@ -24,8 +24,8 @@ std::string parse_error(const std::string& command,
                         const std::vector<std::string>& args) {
   try {
     static_cast<void>(CommandLine{command, args});
-  } catch (const CheckFailure& failure) {
-    return failure.what();
+  } catch (const UsageError& error) {
+    return error.what();
   }
   return "";
 }
@@ -83,10 +83,10 @@ TEST(OptionsTest, IntListParsing) {
 }
 
 TEST(OptionsTest, TypeErrorsThrow) {
-  EXPECT_THROW(CommandLine("penalty", {"--cores=eight"}), CheckFailure);
-  EXPECT_THROW(CommandLine("penalty", {"--epsilon=tiny"}), CheckFailure);
-  EXPECT_THROW(CommandLine("penalty", {"--csv=maybe"}), CheckFailure);
-  EXPECT_THROW(CommandLine("sweep", {"--cores=1,x"}), CheckFailure);
+  EXPECT_THROW(CommandLine("penalty", {"--cores=eight"}), UsageError);
+  EXPECT_THROW(CommandLine("penalty", {"--epsilon=tiny"}), UsageError);
+  EXPECT_THROW(CommandLine("penalty", {"--csv=maybe"}), UsageError);
+  EXPECT_THROW(CommandLine("sweep", {"--cores=1,x"}), UsageError);
 }
 
 TEST(OptionsTest, UnusedOptionsDetected) {
@@ -113,7 +113,7 @@ CliResult cli(const std::vector<std::string>& args) {
 
 TEST(CliTest, NoArgsPrintsUsage) {
   const CliResult r = cli({});
-  EXPECT_EQ(r.code, 1);
+  EXPECT_EQ(r.code, 2);
   EXPECT_NE(r.err.find("usage:"), std::string::npos);
 }
 
@@ -125,7 +125,7 @@ TEST(CliTest, HelpSucceeds) {
 
 TEST(CliTest, UnknownCommandFails) {
   const CliResult r = cli({"frobnicate"});
-  EXPECT_EQ(r.code, 1);
+  EXPECT_EQ(r.code, 2);
   EXPECT_NE(r.err.find("unknown command"), std::string::npos);
 }
 
@@ -267,39 +267,61 @@ TEST(CliTest, RecordThenReplayRoundTrip) {
 }
 
 TEST(CliTest, ReplayMissingFileFails) {
+  // A failed check inside a run, not a usage error: exit 1, `error: `
+  // and where it failed.
   const CliResult r = cli({"replay", "--trace=/no/such/file.lbstats"});
   EXPECT_EQ(r.code, 1);
   EXPECT_NE(r.err.find("cannot open"), std::string::npos);
+  EXPECT_EQ(r.err.rfind("error: CHECK failed", 0), 0u) << r.err;
+  EXPECT_NE(r.err.find(".cc:"), std::string::npos) << r.err;
 }
 
 TEST(CliTest, RecordRequiresOut) {
   const CliResult r = cli({"record", "--app=jacobi2d"});
-  EXPECT_EQ(r.code, 1);
+  EXPECT_EQ(r.code, 2);
   EXPECT_NE(r.err.find("--out"), std::string::npos);
 }
 
 TEST(CliTest, BadOptionValueReportsError) {
   const CliResult r = cli({"penalty", "--cores=many"});
-  EXPECT_EQ(r.code, 1);
-  EXPECT_NE(r.err.find("error:"), std::string::npos);
+  EXPECT_EQ(r.code, 2);
+  EXPECT_NE(r.err.find("cloudlb: "), std::string::npos);
+}
+
+TEST(CliTest, UsageErrorsReadAsUsageErrors) {
+  // A rejected line is the user's mistake: exit 2 and `cloudlb: `, with
+  // none of a failed check's wording or source location.
+  for (const std::vector<std::string>& args :
+       {std::vector<std::string>{"penalty", "--cores=0"},
+        {"sweep", "--cores=4", "--cores=8"},
+        {"frobnicate"},
+        {}}) {
+    const CliResult r = cli(args);
+    EXPECT_EQ(r.code, 2) << ::testing::PrintToString(args);
+    EXPECT_EQ(r.err.rfind("cloudlb: ", 0), 0u) << r.err;
+    EXPECT_EQ(r.err.find("CHECK failed"), std::string::npos) << r.err;
+    EXPECT_EQ(r.err.find(".cc:"), std::string::npos) << r.err;
+    EXPECT_EQ(r.err.find(".h:"), std::string::npos) << r.err;
+    EXPECT_TRUE(r.out.empty()) << r.out;
+  }
 }
 
 TEST(CliTest, UnknownOptionReportsError) {
   const CliResult r = cli({"penalty", "--coers=8", "--iterations=10",
                            "--bg-iterations=20"});
-  EXPECT_EQ(r.code, 1);
+  EXPECT_EQ(r.code, 2);
   EXPECT_NE(r.err.find("--coers"), std::string::npos);
 }
 
 TEST(CliTest, UnknownBalancerReportsError) {
   const CliResult r = cli({"penalty", "--balancer=magic"});
-  EXPECT_EQ(r.code, 1);
+  EXPECT_EQ(r.code, 2);
   EXPECT_NE(r.err.find("unknown balancer"), std::string::npos);
 }
 
 TEST(CliTest, UnknownAppReportsError) {
   const CliResult r = cli({"penalty", "--app=linpack"});
-  EXPECT_EQ(r.code, 1);
+  EXPECT_EQ(r.code, 2);
   EXPECT_NE(r.err.find("unknown application"), std::string::npos);
 }
 
@@ -309,7 +331,7 @@ TEST(CliTest, EstimatorWindowTooSmallFailsAtParse) {
   const CliResult r = cli({"penalty", "--app=jacobi2d", "--cores=4",
                            "--iterations=20", "--bg-iterations=40",
                            "--estimator-window=2"});
-  EXPECT_EQ(r.code, 1);
+  EXPECT_EQ(r.code, 2);
   EXPECT_NE(r.err.find("--estimator-window"), std::string::npos) << r.err;
   EXPECT_NE(r.err.find("at least 3"), std::string::npos) << r.err;
 }
@@ -318,7 +340,7 @@ TEST(CliTest, ShardCountBelowOneFailsAtParse) {
   const CliResult r = cli({"penalty", "--app=jacobi2d", "--cores=4",
                            "--iterations=20", "--bg-iterations=40",
                            "--shards=0"});
-  EXPECT_EQ(r.code, 1);
+  EXPECT_EQ(r.code, 2);
   EXPECT_NE(r.err.find("--shards"), std::string::npos) << r.err;
   EXPECT_NE(r.err.find("at least 1"), std::string::npos) << r.err;
 }
@@ -327,7 +349,7 @@ TEST(CliTest, ShardsWithTenantsFailsAtParse) {
   // The partitioned runtime has no tenant field; say so before running.
   const CliResult r = cli({"penalty", "--app=jacobi2d", "--cores=16",
                            "--iterations=20", "--shards=4", "--tenants=4"});
-  EXPECT_EQ(r.code, 1);
+  EXPECT_EQ(r.code, 2);
   EXPECT_NE(r.err.find("--shards"), std::string::npos) << r.err;
   EXPECT_NE(r.err.find("--tenants"), std::string::npos) << r.err;
 }
@@ -337,7 +359,7 @@ TEST(CliTest, ShardsWithTenantsFailsAtParseOnOneNode) {
   // --cores.
   const CliResult r = cli({"penalty", "--app=jacobi2d", "--cores=4",
                            "--iterations=20", "--shards=2", "--tenants=2"});
-  EXPECT_EQ(r.code, 1);
+  EXPECT_EQ(r.code, 2);
   EXPECT_NE(r.err.find("--tenants"), std::string::npos) << r.err;
 }
 
@@ -349,7 +371,7 @@ TEST(CliTest, JobsWithoutShardsFailsAtParse) {
                                    "--jobs=2"};
   for (int pass = 0; pass < 2; ++pass) {
     const CliResult r = cli(args);
-    EXPECT_EQ(r.code, 1) << pass;
+    EXPECT_EQ(r.code, 2) << pass;
     EXPECT_NE(r.err.find("--jobs"), std::string::npos) << r.err;
     EXPECT_NE(r.err.find("--shards"), std::string::npos) << r.err;
     args.emplace_back("--shards=1");
@@ -361,7 +383,7 @@ TEST(CliTest, TimelineWithShardsFailsAtParse) {
     const CliResult r = cli({"timeline", "--app=jacobi2d", cores,
                              "--iterations=16", "--bg-iterations=30",
                              "--shards=4"});
-    EXPECT_EQ(r.code, 1) << cores;
+    EXPECT_EQ(r.code, 2) << cores;
     EXPECT_NE(r.err.find("timeline"), std::string::npos) << r.err;
     EXPECT_NE(r.err.find("--shards"), std::string::npos) << r.err;
   }
@@ -371,7 +393,7 @@ TEST(CliTest, EstimatorClampFactorBelowOneFailsAtParse) {
   const CliResult r = cli({"penalty", "--app=jacobi2d", "--cores=4",
                            "--iterations=20", "--bg-iterations=40",
                            "--estimator-clamp-factor=0.5"});
-  EXPECT_EQ(r.code, 1);
+  EXPECT_EQ(r.code, 2);
   EXPECT_NE(r.err.find("--estimator-clamp-factor"), std::string::npos)
       << r.err;
   EXPECT_NE(r.err.find("at least 1"), std::string::npos) << r.err;
@@ -381,7 +403,7 @@ TEST(CliTest, UnknownEstimatorModeListsTheValidOnes) {
   const CliResult r = cli({"penalty", "--app=jacobi2d", "--cores=4",
                            "--iterations=20", "--bg-iterations=40",
                            "--estimator=psychic"});
-  EXPECT_EQ(r.code, 1);
+  EXPECT_EQ(r.code, 2);
   EXPECT_NE(r.err.find("persist|ewma|trend|regress"), std::string::npos)
       << r.err;
 }
@@ -390,7 +412,7 @@ TEST(CliTest, NonPositiveForecastHorizonFailsAtParse) {
   const CliResult r = cli({"penalty", "--app=jacobi2d", "--cores=4",
                            "--iterations=20", "--bg-iterations=40",
                            "--estimator=trend", "--forecast-horizon=0"});
-  EXPECT_EQ(r.code, 1);
+  EXPECT_EQ(r.code, 2);
   EXPECT_NE(r.err.find("--forecast-horizon"), std::string::npos) << r.err;
 }
 
@@ -398,7 +420,7 @@ TEST(CliTest, NegativeForecastMarginFailsAtParse) {
   const CliResult r = cli({"penalty", "--app=jacobi2d", "--cores=4",
                            "--iterations=20", "--bg-iterations=40",
                            "--estimator=ewma", "--forecast-margin=-0.5"});
-  EXPECT_EQ(r.code, 1);
+  EXPECT_EQ(r.code, 2);
   EXPECT_NE(r.err.find("--forecast-margin"), std::string::npos) << r.err;
 }
 
@@ -415,7 +437,7 @@ TEST(CliTest, EstimatorFlagsWithBlindBalancersFailAtParse) {
       const std::string flag = arg.substr(0, arg.find('='));
       const CliResult r = cli({"penalty", "--app=jacobi2d", "--cores=4",
                                "--iterations=20", name, arg});
-      EXPECT_EQ(r.code, 1) << name << ' ' << arg;
+      EXPECT_EQ(r.code, 2) << name << ' ' << arg;
       EXPECT_NE(r.err.find(flag + " has no effect"), std::string::npos)
           << r.err;
       EXPECT_NE(r.err.find(name), std::string::npos) << r.err;
@@ -425,7 +447,7 @@ TEST(CliTest, EstimatorFlagsWithBlindBalancersFailAtParse) {
     const CliResult r =
         cli({command, "--out=/dev/null", "--balancer=refine",
              "--estimator=regress"});
-    EXPECT_EQ(r.code, 1) << command;
+    EXPECT_EQ(r.code, 2) << command;
     EXPECT_NE(r.err.find("--estimator"), std::string::npos) << r.err;
   }
 }
@@ -434,7 +456,7 @@ TEST(CliTest, LbFallbackWithGainGatedFailsAtParse) {
   const CliResult r = cli({"penalty", "--app=jacobi2d", "--cores=4",
                            "--iterations=20", "--balancer=gain-gated",
                            "--lb-fallback"});
-  EXPECT_EQ(r.code, 1);
+  EXPECT_EQ(r.code, 2);
   EXPECT_NE(r.err.find("--lb-fallback"), std::string::npos) << r.err;
   EXPECT_NE(r.err.find("--balancer=gain-gated"), std::string::npos) << r.err;
 }
@@ -480,7 +502,7 @@ TEST(CliTest, EwmaPresetWithAnotherEstimatorFailsAtParse) {
     const CliResult r = cli({command, "--app=jacobi2d", "--cores=4",
                              "--iterations=20", balancer,
                              "--estimator=trend"});
-    EXPECT_EQ(r.code, 1) << command;
+    EXPECT_EQ(r.code, 2) << command;
     EXPECT_NE(r.err.find("--balancer=ia-refine-ewma"), std::string::npos)
         << r.err;
     EXPECT_NE(r.err.find("--estimator=trend"), std::string::npos) << r.err;
@@ -505,7 +527,7 @@ void expect_rejected(const std::vector<std::string>& args,
   EXPECT_NE(error.find(flag), std::string::npos)
       << args[1] << " -> '" << error << "'";
   const CliResult r = cli(args);
-  EXPECT_EQ(r.code, 1) << args[1];
+  EXPECT_EQ(r.code, 2) << args[1];
   EXPECT_NE(r.err.find(flag), std::string::npos) << r.err;
 }
 
@@ -580,11 +602,11 @@ TEST(CliTest, StrayPositionalFailsAtParse) {
 TEST(CliTest, ListCommandsTakeNoFlags) {
   for (const char* command : {"apps", "balancers", "help"}) {
     const CliResult r = cli({command, "--cores=4"});
-    EXPECT_EQ(r.code, 1) << command;
+    EXPECT_EQ(r.code, 2) << command;
     EXPECT_NE(r.err.find("--cores"), std::string::npos) << r.err;
     EXPECT_NE(r.err.find(command), std::string::npos) << r.err;
   }
-  EXPECT_EQ(cli({"help", "nonsense"}).code, 1);
+  EXPECT_EQ(cli({"help", "nonsense"}).code, 2);
 }
 
 TEST(CliTest, WithBgWithoutTenantsFailsAtParse) {

@@ -354,6 +354,35 @@ TEST(ScenarioTest, PercentIncrease) {
   EXPECT_THROW(percent_increase(1.0, 0.0), CheckFailure);
 }
 
+TEST(ScenarioTest, PenaltyResultScoresAgainstTheGivenRuns) {
+  RunResult base;
+  base.app_elapsed = SimTime::seconds(2);
+  base.energy_joules = 100.0;
+  RunResult combined;
+  combined.app_elapsed = SimTime::seconds(3);
+  combined.energy_joules = 125.0;
+
+  // Tenants only: no BG job, so no BG penalty.
+  const PenaltyResult tenants = penalty_result(base, combined, std::nullopt);
+  EXPECT_DOUBLE_EQ(tenants.app_penalty_pct, 50.0);
+  EXPECT_DOUBLE_EQ(tenants.energy_overhead_pct, 25.0);
+  EXPECT_EQ(tenants.bg_penalty_pct, 0.0);
+  EXPECT_EQ(tenants.bg_solo, SimTime::zero());
+  // A BG solo time needs a combined run that had the BG job.
+  EXPECT_THROW(static_cast<void>(
+                   penalty_result(base, combined, SimTime::seconds(1))),
+               CheckFailure);
+
+  combined.bg_elapsed = SimTime::seconds(4);
+  const PenaltyResult with_bg =
+      penalty_result(base, combined, SimTime::seconds(1));
+  EXPECT_DOUBLE_EQ(with_bg.app_penalty_pct, 50.0);
+  EXPECT_DOUBLE_EQ(with_bg.bg_penalty_pct, 300.0);
+  EXPECT_EQ(with_bg.bg_solo, SimTime::seconds(1));
+  EXPECT_EQ(with_bg.base.app_elapsed, base.app_elapsed);
+  EXPECT_EQ(with_bg.combined.bg_elapsed, combined.bg_elapsed);
+}
+
 ScenarioConfig small_config(const std::string& balancer) {
   ScenarioConfig config;
   config.app.name = "jacobi2d";

@@ -5,7 +5,8 @@
 // a warm stencil job delivers and executes messages without allocating,
 // and a warm Mol3D job allocates only the payloads it sends.
 // This binary replaces the global allocator with a counting shim and pins
-// both promises.
+// both promises. It is the only check of them: docs/static-analysis.md
+// lists which case runs which warm-path function.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,8 @@
 #include <cstdint>
 #include <functional>
 #include <new>
+#include <optional>
+#include <vector>
 
 #include "apps/jacobi2d.h"
 #include "apps/mol3d.h"
@@ -22,6 +25,7 @@
 #include "runtime/network.h"
 #include "runtime/observer.h"
 #include "runtime/sharded_runtime.h"
+#include "sim/sharded_simulator.h"
 #include "sim/simulator.h"
 #include "util/thread_pool.h"
 #include "util/validate.h"
@@ -171,6 +175,52 @@ TEST(SimAllocTest, ScheduleCancelChurnIsAllocationFree) {
   sim.run();
 }
 
+TEST(SimAllocTest, LaneCancelChurnIsAllocationFree) {
+  // Cancellation inside the current-instant lane. Each round fills the
+  // lane with kBatch zero-delay events twice: the first time it cancels
+  // every other one, which stays under the compaction threshold, so the
+  // stale entries are shed one by one as the lane drains; the second
+  // time it cancels one more than half, so compaction runs while the
+  // lane still holds live entries.
+  ValidationScope validation{false};
+  Simulator sim;
+  std::vector<EventHandle> handles;
+  handles.reserve(kBatch);
+  std::uint64_t fired = 0;
+  std::size_t held_after_compaction = 0;
+  const auto fill_lane = [&] {
+    handles.clear();
+    for (int i = 0; i < kBatch; ++i)
+      handles.push_back(
+          sim.schedule_after(SimTime::zero(), [&fired] { ++fired; }));
+  };
+  const auto round = [&] {
+    sim.schedule_after(SimTime::nanos(1), [&] {
+      fill_lane();
+      for (int i = 0; i < kBatch; i += 2)
+        static_cast<void>(sim.cancel(handles[static_cast<std::size_t>(i)]));
+    });
+    sim.schedule_after(SimTime::nanos(2), [&] {
+      fill_lane();
+      for (int i = 0; i <= kBatch / 2; ++i)
+        static_cast<void>(sim.cancel(handles[static_cast<std::size_t>(i)]));
+      held_after_compaction = sim.queue_size();
+    });
+    while (sim.step()) {
+    }
+  };
+  for (int r = 0; r < 4; ++r) round();
+
+  fired = 0;
+  probe_arm();
+  for (int r = 0; r < 50; ++r) round();
+  const std::size_t allocs = probe_disarm();
+  EXPECT_EQ(allocs, 0u);
+  // Compaction left only the live half of the lane behind.
+  EXPECT_EQ(held_after_compaction, static_cast<std::size_t>(kBatch / 2 - 1));
+  EXPECT_EQ(fired, 50u * (kBatch / 2 + kBatch / 2 - 1));
+}
+
 TEST(SimAllocTest, ZeroDelayChurnIsAllocationFree) {
   // Events scheduled at now() ride the current-instant lane. Each of
   // kBatch lane events re-schedules itself at the same instant, so the
@@ -272,6 +322,58 @@ TEST(SimAllocTest, WorkerTeamRoundsAreAllocationFree) {
   EXPECT_EQ(wide.lanes[0], 51u);
   EXPECT_EQ(wide.lanes[1], 51u);
   EXPECT_EQ(wide.lanes[2], 51u);
+}
+
+TEST(SimAllocTest, ShardedWindowsAreAllocationFree) {
+  // Two shards trade tokens across the window barrier: each hop posts to
+  // the other shard at exactly the lookahead, and the receiver re-arms a
+  // local timer that hops back. Once the mailboxes and merge scratch are
+  // at capacity, running windows — serially and on a two-worker team —
+  // allocates nothing.
+  constexpr SimTime kLookahead = SimTime::micros(50);
+  constexpr int kTokens = 16;
+  for (const bool parallel : {false, true}) {
+    SCOPED_TRACE(parallel ? "worker team" : "serial");
+    ShardedSimulator::Config config;
+    config.shards = 2;
+    config.lookahead = kLookahead;
+    config.parallel = parallel;
+    config.workers = 2;
+    ShardedSimulator sim{config};
+    struct PingPong {
+      ShardedSimulator& sim;
+      SimTime lookahead;
+      std::uint64_t hops[2] = {};  // hops[s] is written only by shard s
+      void arm(int shard, SimTime delay) {
+        sim.shard_engine(shard).schedule_after(
+            delay, [this, shard] { hop(shard); });
+      }
+      void hop(int shard) {
+        ++hops[shard];
+        const int peer = 1 - shard;
+        sim.post(shard, peer, lookahead,
+                 [this, peer] { arm(peer, SimTime::micros(3)); });
+      }
+    } game{sim, kLookahead};
+    for (int t = 0; t < kTokens; ++t)
+      game.arm(t % 2, SimTime::micros(1 + t));
+    const auto run_windows = [&sim](int n) {
+      for (int w = 0; w < n; ++w) {
+        ASSERT_TRUE(sim.next_event_time().has_value());
+        sim.run_one_window(std::nullopt);
+      }
+    };
+    run_windows(50);
+
+    const std::uint64_t before = game.hops[0] + game.hops[1];
+    probe_arm();
+    run_windows(500);
+    const std::size_t allocs = probe_disarm();
+    EXPECT_EQ(allocs, 0u);
+    // Every token hops once per 53 µs, so 500 windows of 50 µs move
+    // each of them more than 400 times.
+    EXPECT_GT(game.hops[0] + game.hops[1] - before, 400u * kTokens);
+  }
 }
 
 /// Arms the probe when chare 0, an `App`, starts iteration `from` and

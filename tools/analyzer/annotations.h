@@ -21,7 +21,6 @@ inline constexpr llvm::StringLiteral kBarrierPhaseAnnot{
 inline constexpr llvm::StringLiteral kCanonicalCombineAnnot{
     "clb::canonical_combine"};
 inline constexpr llvm::StringLiteral kRankedFanoutAnnot{"clb::ranked_fanout"};
-inline constexpr llvm::StringLiteral kWarmPathAnnot{"clb::warm_path"};
 
 // True when any redeclaration of `decl` carries annotate("name").
 // Annotations live on the header declaration while the analyzer usually

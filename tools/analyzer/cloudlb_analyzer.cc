@@ -4,39 +4,18 @@
 //   cloudlb-analyzer fixture.cc -- -std=c++17 -nostdinc -Imocks
 //   cloudlb-analyzer --list-checks
 //
-// Whole-program mode (docs/static-analysis.md, "whole-program
-// propagation") runs in two phases:
-//
-//   cloudlb-analyzer --emit-summary=dir -p build src/... [files]
-//   cloudlb-analyzer --link=dir [--baseline=f] [--sarif=f] [--root=d]
-//
-// --emit-summary parses each TU and writes one JSON effect summary per
-// file, reusing any existing summary whose content hash still matches
-// (unchanged TUs are never re-parsed). --link needs no clang at all: it
-// loads the summaries, builds the merged call graph, and propagates
-// effects to fixpoint (linker.h).
-//
 // tools/analyzer/run_analyzer.py wraps the per-TU form over the whole
 // compile database; tests/analyzer/run_selftest.py uses the `--` form
 // for the hermetic fixture corpus.
 #include "analyzer.h"
 
 #include <cstring>
-#include <fstream>
-#include <sstream>
-#include <string>
-#include <vector>
 
 #include "clang/Basic/Diagnostic.h"
 #include "clang/Tooling/CommonOptionsParser.h"
 #include "clang/Tooling/Tooling.h"
-#include "emit_summary.h"
-#include "linker.h"
 #include "llvm/Support/CommandLine.h"
-#include "llvm/Support/FileSystem.h"
-#include "llvm/Support/Path.h"
 #include "llvm/Support/raw_ostream.h"
-#include "summary.h"
 
 namespace {
 
@@ -47,192 +26,8 @@ constexpr const char* kChecks[] = {
     "analyzer-discarded-status", "analyzer-float-merge",
     "analyzer-shard-confined", "analyzer-sim-time",
     "analyzer-stale-handle",   "analyzer-unordered-accum",
-    "analyzer-unranked-fanout", "analyzer-warm-path",
+    "analyzer-unranked-fanout",
 };
-
-/// Pulls `--name=value` out of argv (removing it) so the remaining
-/// arguments stay digestible for CommonOptionsParser, which rejects
-/// flags it does not know.
-bool take_flag(int& argc, const char** argv, const char* name,
-               std::string* value) {
-  const std::size_t len = std::strlen(name);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], name, len) != 0 || argv[i][len] != '=')
-      continue;
-    *value = argv[i] + len + 1;
-    for (int j = i; j + 1 < argc; ++j) argv[j] = argv[j + 1];
-    --argc;
-    return true;
-  }
-  return false;
-}
-
-std::string join_command(const std::vector<std::string>& parts) {
-  std::string joined;
-  for (const std::string& part : parts) {
-    if (!joined.empty()) joined += ' ';
-    joined += part;
-  }
-  return joined;
-}
-
-[[nodiscard]] bool read_file(const std::string& path, std::string* out,
-                             std::string* error) {
-  std::ifstream in{path, std::ios::binary};
-  if (!in) {
-    *error = path + ": cannot open";
-    return false;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  *out = buffer.str();
-  return true;
-}
-
-int run_emit(clang::tooling::CommonOptionsParser& options,
-             const std::string& dir) {
-  std::error_code ec = llvm::sys::fs::create_directories(dir);
-  if (ec) {
-    llvm::errs() << "cloudlb-analyzer: cannot create summary dir '" << dir
-                 << "': " << ec.message() << '\n';
-    return 2;
-  }
-
-  std::size_t reused = 0;
-  std::size_t parsed = 0;
-  for (const std::string& source : options.getSourcePathList()) {
-    llvm::SmallString<256> abs{source};
-    llvm::sys::fs::make_absolute(abs);
-    llvm::sys::path::remove_dots(abs, /*remove_dot_dot=*/true);
-    const std::string abs_source{abs.str()};
-
-    std::vector<clang::tooling::CompileCommand> commands =
-        options.getCompilations().getCompileCommands(abs_source);
-    if (commands.empty()) {
-      llvm::errs() << "cloudlb-analyzer: no compile command for '"
-                   << source << "'\n";
-      return 2;
-    }
-    const std::string command = join_command(commands.front().CommandLine);
-
-    const std::string out_path =
-        dir + "/" + cloudlb_analyzer::summary_file_name(abs_source);
-    {
-      cloudlb_analyzer::TuSummary existing;
-      std::string error;
-      if (cloudlb_analyzer::read_summary_file(out_path, &existing, &error) &&
-          cloudlb_analyzer::summary_is_fresh(existing, command)) {
-        ++reused;
-        continue;
-      }
-    }
-
-    cloudlb_analyzer::TuSummary summary;
-    summary.schema_version = cloudlb_analyzer::kSummarySchemaVersion;
-    clang::tooling::ClangTool tool{options.getCompilations(), {abs_source}};
-    clang::IgnoringDiagConsumer silent;
-    tool.setDiagnosticConsumer(&silent);
-    const int rc =
-        tool.run(cloudlb_analyzer::make_summary_action_factory(&summary)
-                     .get());
-    if (rc != 0) {
-      llvm::errs() << "cloudlb-analyzer: clang reported errors while "
-                      "parsing '" << source << "'\n";
-      return 2;
-    }
-    ++parsed;
-
-    // The action recorded dep paths; the hashes and the overall content
-    // hash happen here, where the compile command is known.
-    bool dep_error = false;
-    for (cloudlb_analyzer::DepHash& dep : summary.deps) {
-      if (!cloudlb_analyzer::hash_file(dep.file, &dep.hash)) {
-        llvm::errs() << "cloudlb-analyzer: cannot hash dep '" << dep.file
-                     << "' of '" << source << "'\n";
-        dep_error = true;
-      }
-    }
-    if (dep_error) return 2;
-    summary.content_hash =
-        cloudlb_analyzer::summary_content_hash(command, summary.deps);
-
-    std::string error;
-    if (!cloudlb_analyzer::write_summary_file(out_path, summary, &error)) {
-      llvm::errs() << "cloudlb-analyzer: " << error << '\n';
-      return 2;
-    }
-  }
-  llvm::outs() << "cloudlb-analyzer --emit-summary: re-parsed " << parsed
-               << "/" << (parsed + reused) << " TUs (" << reused
-               << " reused)\n";
-  return 0;
-}
-
-int run_link(const std::string& dir, const std::string& baseline_path,
-             const std::string& sarif_path, const std::string& root) {
-  cloudlb_analyzer::Linker linker;
-  std::error_code ec;
-  std::size_t loaded = 0;
-  for (llvm::sys::fs::directory_iterator it{dir, ec}, end; !ec && it != end;
-       it.increment(ec)) {
-    const std::string path = it->path();
-    if (path.size() < 5 || path.substr(path.size() - 5) != ".json") continue;
-    cloudlb_analyzer::TuSummary summary;
-    std::string error;
-    if (!cloudlb_analyzer::read_summary_file(path, &summary, &error)) {
-      // Stale or corrupt summaries are refused loudly: silently linking
-      // a partial program would report "clean" without meaning it.
-      llvm::errs() << "cloudlb-analyzer: " << error << '\n';
-      return 2;
-    }
-    linker.add_summary(summary);
-    ++loaded;
-  }
-  if (ec) {
-    llvm::errs() << "cloudlb-analyzer: cannot read summary dir '" << dir
-                 << "': " << ec.message() << '\n';
-    return 2;
-  }
-  if (loaded == 0) {
-    llvm::errs() << "cloudlb-analyzer: no summaries found in '" << dir
-                 << "' (run --emit-summary first)\n";
-    return 2;
-  }
-
-  cloudlb_analyzer::LinkOptions link_options;
-  if (!baseline_path.empty()) {
-    std::string json;
-    std::string error;
-    if (!read_file(baseline_path, &json, &error)) {
-      llvm::errs() << "cloudlb-analyzer: " << error << '\n';
-      return 2;
-    }
-    if (!cloudlb_analyzer::parse_baseline(json, &link_options.baseline,
-                                          &error)) {
-      llvm::errs() << "cloudlb-analyzer: " << baseline_path << ": " << error
-                   << '\n';
-      return 2;
-    }
-  }
-
-  const cloudlb_analyzer::LinkResult result = linker.link(link_options);
-
-  if (!sarif_path.empty()) {
-    std::ofstream out{sarif_path, std::ios::binary};
-    if (!out) {
-      llvm::errs() << "cloudlb-analyzer: cannot write SARIF to '"
-                   << sarif_path << "'\n";
-      return 2;
-    }
-    out << cloudlb_analyzer::to_sarif(result, root);
-  }
-
-  std::string text;
-  const std::size_t findings =
-      cloudlb_analyzer::print_link_result(result, &text);
-  llvm::outs() << text;
-  return findings > 0 ? 1 : 0;
-}
 
 }  // namespace
 
@@ -245,24 +40,6 @@ int main(int argc, const char** argv) {
     }
   }
 
-  std::string summary_dir;
-  std::string link_dir;
-  std::string baseline_path;
-  std::string sarif_path;
-  std::string root;
-  const bool emit_mode =
-      take_flag(argc, argv, "--emit-summary", &summary_dir);
-  const bool link_mode = take_flag(argc, argv, "--link", &link_dir);
-  take_flag(argc, argv, "--baseline", &baseline_path);
-  take_flag(argc, argv, "--sarif", &sarif_path);
-  take_flag(argc, argv, "--root", &root);
-  if (emit_mode && link_mode) {
-    llvm::errs() << "cloudlb-analyzer: --emit-summary and --link are "
-                    "separate phases; pass one at a time\n";
-    return 2;
-  }
-  if (link_mode) return run_link(link_dir, baseline_path, sarif_path, root);
-
   auto expected_parser =
       clang::tooling::CommonOptionsParser::create(argc, argv, g_category);
   if (!expected_parser) {
@@ -270,7 +47,6 @@ int main(int argc, const char** argv) {
     return 2;
   }
   clang::tooling::CommonOptionsParser& options = expected_parser.get();
-  if (emit_mode) return run_emit(options, summary_dir);
 
   clang::tooling::ClangTool tool{options.getCompilations(),
                                  options.getSourcePathList()};

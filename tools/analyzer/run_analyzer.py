@@ -6,17 +6,6 @@ benches opt in via --also), queries the host clang for its resource
 directory (an out-of-tree LibTooling binary does not know where the
 builtin headers live), and runs the analyzer once over the whole batch.
 
-After the per-TU batch, the whole-program phases run: `--emit-summary`
-writes per-TU effect summaries into --summaries (content-hash cached, so
-unchanged TUs are never re-parsed — the script prints the emit wall time
-and the reuse count, making cold vs warm cache behavior visible in CI
-logs), then `--link` propagates effects across the merged call graph,
-filtered through tools/analyzer/baseline.json when present. Pass
-`--sarif FILE` to also write the link findings as SARIF 2.1.0 for code
-scanning upload, or `--skip-link` for the old per-TU-only behavior.
-`--skip-per-tu` runs only the whole-program phases — CI uses it for a
-second, warm pass that proves the summary cache ("re-parsed 0/N").
-
 Exit codes mirror the binary: 0 clean, 1 findings, 2 tool error — plus
 77 ("skipped") when the environment cannot support a run at all, so
 CTest's SKIP_RETURN_CODE can report the tier as skipped rather than
@@ -31,7 +20,6 @@ import pathlib
 import shutil
 import subprocess
 import sys
-import time
 
 
 def resource_dir() -> str | None:
@@ -62,16 +50,6 @@ def main() -> int:
     parser.add_argument("--also", action="append", default=[],
                         help="additional top-level dirs to analyze "
                              "(default: only src/)")
-    parser.add_argument("--summaries", default="",
-                        help="summary cache dir for the whole-program "
-                             "phases (default: <build>/analyzer_summaries)")
-    parser.add_argument("--sarif", default="",
-                        help="also write the link findings as SARIF here")
-    parser.add_argument("--skip-link", action="store_true",
-                        help="per-TU checks only; skip emit-summary/link")
-    parser.add_argument("--skip-per-tu", action="store_true",
-                        help="whole-program phases only; skip the per-TU "
-                             "checks (for warm-cache re-runs)")
     args = parser.parse_args()
 
     binary = pathlib.Path(args.binary)
@@ -109,39 +87,8 @@ def main() -> int:
         print("run_analyzer: no clang driver on PATH to supply "
               "-resource-dir; skipping", file=sys.stderr)
         return 77
-    if args.skip_link and args.skip_per_tu:
-        print("run_analyzer: --skip-link and --skip-per-tu together leave "
-              "nothing to run", file=sys.stderr)
-        return 2
-    worst = 0
-    if not args.skip_per_tu:
-        proc = subprocess.run(command + sources)
-        if proc.returncode == 2 or args.skip_link:
-            return proc.returncode
-        worst = proc.returncode
-
-    # --- Whole-program phases: emit (cached) then link ------------------
-    summaries = (pathlib.Path(args.summaries) if args.summaries
-                 else build / "analyzer_summaries")
-    emit_cmd = [str(binary), f"--emit-summary={summaries}", "-p", str(build),
-                f"--extra-arg-before=-resource-dir={res_dir}"] + sources
-    start = time.monotonic()
-    emit = subprocess.run(emit_cmd)
-    print(f"run_analyzer: --emit-summary took "
-          f"{time.monotonic() - start:.1f}s", flush=True)
-    if emit.returncode != 0:
-        return 2
-
-    link_cmd = [str(binary), f"--link={summaries}", f"--root={root}"]
-    baseline = root / "tools" / "analyzer" / "baseline.json"
-    if baseline.exists():
-        link_cmd.append(f"--baseline={baseline}")
-    if args.sarif:
-        link_cmd.append(f"--sarif={args.sarif}")
-    link = subprocess.run(link_cmd)
-    return max(worst, link.returncode)
+    return subprocess.run(command + sources).returncode
 
 
 if __name__ == "__main__":
     sys.exit(main())
-

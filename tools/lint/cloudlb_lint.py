@@ -16,11 +16,6 @@ invariant loud (docs/static-analysis.md):
   shard-annotation partitioned-runtime files (src/runtime/, src/sim/)
                    with per-shard members or ranked scheduling include
                    util/shard_annotations.h
-  warm-path-annotation
-                   src/sim/ files defining hot-path functions
-                   (schedule_*, step, fire_*) include
-                   util/shard_annotations.h so CLB_WARM_PATH contracts
-                   are visible to the whole-program analyzer
   exact-fp         no target attribute or pragma naming fma, avx512*,
                    arch= or tune=, and no -mfma, -march, -mavx512*,
                    -ffast-math, -ffp-contract=fast or -Ofast in src/ or
@@ -383,40 +378,6 @@ def _check_shard_annotation(rule: Rule, path: pathlib.Path, raw: list[str],
     return []
 
 
-def _check_warm_path_annotation(rule: Rule, path: pathlib.Path,
-                                raw: list[str],
-                                code: list[str]) -> list[Diagnostic]:
-    """src/sim/ files that DEFINE hot-path functions — schedule_*, step,
-    fire_* — must pull in util/shard_annotations.h: those are exactly the
-    functions the CLB_WARM_PATH rollout covers, and the whole-program
-    analyzer can only verify an allocation-free warm path where the
-    annotation macros are visible. Raw-text heuristics, like the
-    shard-annotation rule: a definition starts the line with a return
-    type (never an object expression like `core.schedule_at(`), and a
-    line ending in ';' is a declaration, not a definition."""
-    parts = path.parts
-    if not any(parts[i:i + 2] == ("src", "sim")
-               for i in range(len(parts) - 1)):
-        return []
-    include = re.compile(r'#\s*include\s+"util/shard_annotations\.h"')
-    if any(include.search(text) for text in raw):
-        return []
-    definition = re.compile(
-        r"^\s*(?:template\s*<[^>]*>\s*)?(?:CLB_\w+\s+)*"
-        r"(?:\[\[\w+\]\]\s+)?(?:[\w:<>,*&]+\s+)+"
-        r"(?:[\w<>]+::)*(?:schedule_\w+|step|fire_\w+)\s*\(")
-    for lineno, text in enumerate(code, 1):
-        if definition.search(text) and not text.rstrip().endswith(";"):
-            return [Diagnostic(
-                path, lineno, rule.name,
-                "hot-path function defined without "
-                '#include "util/shard_annotations.h"; include it and '
-                "annotate the steady-state schedule/step/fire surface "
-                "CLB_WARM_PATH so the analyzer's whole-program link can "
-                "verify the path stays allocation-free")]
-    return []
-
-
 RULES: list[Rule] = [
     Rule(
         name="wall-clock",
@@ -541,16 +502,6 @@ RULES: list[Rule] = [
                     "scheduling API include util/shard_annotations.h so "
                     "the analyzer sees their effect contracts.",
         check=_check_shard_annotation,
-    ),
-    Rule(
-        name="warm-path-annotation",
-        scopes=("src",),
-        headers_only=False,
-        description="src/sim/ files defining hot-path functions "
-                    "(schedule_*, step, fire_*) include "
-                    "util/shard_annotations.h so the CLB_WARM_PATH "
-                    "contract is visible to the whole-program analyzer.",
-        check=_check_warm_path_annotation,
     ),
     Rule(
         name="exact-fp",
