@@ -1,11 +1,12 @@
 // Microbenchmarks (google-benchmark) for the substrate hot paths: event
 // queue throughput, processor-sharing core updates, the LB strategies'
-// decision cost at various problem sizes, the Mol3D force kernel, and a
-// small end-to-end scenario.
+// decision cost at various problem sizes, the Mol3D force kernel, a hand-off
+// to the offload pool, the stencil kernels, and a small end-to-end scenario.
 
 #include <benchmark/benchmark.h>
 
 #include <array>
+#include <atomic>
 #include <numeric>
 
 #include "apps/jacobi2d.h"
@@ -21,6 +22,7 @@
 #include "support/mol3d_reference_forces.h"
 #include "support/refinement_naive.h"
 #include "support/stencil_reference.h"
+#include "util/offload.h"
 #include "util/rng.h"
 
 namespace cloudlb {
@@ -305,6 +307,26 @@ void BM_Mol3dForcesReference(benchmark::State& state) {
   BM_Mol3dKernel(state, mol3d_reference_forces);
 }
 BENCHMARK(BM_Mol3dForcesReference)->Unit(benchmark::kMicrosecond);
+
+// One hand-off to a pool worker and back: start a trivial piece of work,
+// wait until a worker has run it, join. The stencils run inline because
+// their sweep (BM_Jacobi2dSweep) costs about this much.
+void BM_OffloadHandOff(benchmark::State& state) {
+  if (Offload::workers() == 0) {
+    state.SkipWithError("no pool workers on this host");
+    return;
+  }
+  Offload task;
+  std::atomic<bool> ran{false};
+  for (auto _ : state) {
+    ran.store(false, std::memory_order_relaxed);
+    task.start([&ran] { ran.store(true, std::memory_order_release); });
+    while (!ran.load(std::memory_order_acquire)) {
+    }
+    task.join();
+  }
+}
+BENCHMARK(BM_OffloadHandOff)->Unit(benchmark::kNanosecond);
 
 // ------------------------------------------------------- stencil kernels
 //

@@ -10,11 +10,12 @@
 # Covered: every bench/fig* and bench/ablation_* binary with --jobs 4, and
 # every cloudlb command:
 #  - `penalty` for jacobi2d with ia-refine and greedy at 16 and 32 cores
-#    across --shards 1, 2, 4 and 8, a failmig-with-retries run, estimator
-#    runs with 16 tenants on 32 cores (the ia-refine-ewma preset and its
-#    spelled-out form, gain-gated and refine with --estimator), an
-#    interference plan of spike, square-wave and Pareto hog VMs at
-#    --shards 1 and 4, and --jobs without --shards (rejected);
+#    across --shards 1, 2, 4 and 8, a failmig-with-retries run, runs with
+#    16 tenants on 32 cores (the ia-refine-ewma preset and its spelled-out
+#    form, gain-gated with --estimator=regress, refine, and refine with
+#    --estimator, which is rejected), an interference plan of spike,
+#    square-wave and Pareto hog VMs at --shards 1 and 4, and --jobs
+#    without --shards (rejected);
 #  - `penalty` for mol3d: perfbench's cloud-mol3d-tenants configuration
 #    (32 cores, 16 tenants, --estimator=regress) cut to 40 iterations, and
 #    a run beside the 2-core background job;
@@ -88,11 +89,12 @@ run penalty_tenants_preset_ia-refine-ewma "${cloudlb}" penalty \
   "${common[@]}" "${tenants[@]}" --balancer=ia-refine-ewma
 run penalty_tenants_ia-refine_estimator-ewma "${cloudlb}" penalty \
   "${common[@]}" "${tenants[@]}" --balancer=ia-refine --estimator=ewma
-for balancer in gain-gated refine; do
-  run "penalty_tenants_${balancer}_regress" "${cloudlb}" penalty \
-    "${common[@]}" "${tenants[@]}" --balancer="${balancer}" \
-    --estimator=regress
-done
+run penalty_tenants_gain-gated_regress "${cloudlb}" penalty \
+  "${common[@]}" "${tenants[@]}" --balancer=gain-gated --estimator=regress
+run penalty_tenants_refine "${cloudlb}" penalty "${common[@]}" \
+  "${tenants[@]}" --balancer=refine
+run penalty_tenants_refine_estimator_rejected "${cloudlb}" penalty \
+  "${common[@]}" "${tenants[@]}" --balancer=refine --estimator=regress
 run penalty_mol3d_tenants_regress "${cloudlb}" penalty --app=mol3d \
   --cores=32 --tenants=16 --estimator=regress --iterations=40
 run penalty_mol3d_bg "${cloudlb}" penalty --app=mol3d --cores=16 \

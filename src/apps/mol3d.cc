@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <cstring>
 #include <sstream>
+#include <utility>
 
 #include "util/check.h"
 #include "util/rng.h"
@@ -70,33 +71,48 @@ template <class V, class I>
   d -= __builtin_bit_cast(V, a);
 }
 
-/// Scratch for mol3d_forces. One per host thread, not per chare: a thread
-/// runs one force computation at a time, and per-chare buffers would each
-/// keep the capacity of their largest computation.
-struct ForceScratch {
-  /// Positions: the particles, then every ghost in (side, k) order, then
-  /// W − 1 padding slots so a W-lane pass may start at any index.
-  std::vector<double> x, y, z;
-  std::vector<double> dx, dy, dz;  ///< one row's displacements, by index
-  /// One row's hits in index order: r², f/r and the index.
-  std::vector<double> r2, f;
-  std::vector<std::size_t> hits;
+/// Values a computation keeps on its thread's stack, per buffer; above
+/// these counts a buffer goes to the heap. The default configuration's
+/// cells hold about 16 particles and gather about 100 positions; in 40
+/// `cloud-mol3d-tenants` experiments no cell held more than 40 or
+/// gathered more than 175. GCC probes every page of a large frame, so the
+/// whole frame is resident on each thread that runs a computation: the
+/// counts stay near those maxima.
+constexpr std::size_t kStackPositions = 256;
+constexpr std::size_t kStackParticles = 128;
+
+/// `n` values of T, on the stack up to N and on the heap above it. Scratch
+/// is neither per thread nor per chare: a per-thread buffer that grows
+/// would make allocation counts depend on which thread ran which cell, and
+/// per-chare buffers would each keep their largest computation's capacity.
+template <class T, std::size_t N>
+class StackBuffer {
+ public:
+  explicit StackBuffer(std::size_t n) {
+    if (n > N) heap_.resize(n);
+  }
+  T* data() { return heap_.empty() ? stack_ : heap_.data(); }
+
+ private:
+  T stack_[N];
+  std::vector<T> heap_;
 };
 
-/// The calling thread's scratch, shared by both widths.
-ForceScratch& force_scratch() {
-  thread_local ForceScratch s;
-  return s;
-}
+/// Row entries one distance pass covers before its hits are summed: a
+/// multiple of every lane width, and above the typical row of the default
+/// configuration's cells, which then runs in one chunk.
+constexpr std::size_t kRowChunk = 128;
 
-/// The force kernel at W = sizeof(V) / sizeof(double) lanes. Instantiated
-/// once per width, each inside the function that enables its instruction
-/// set, so every width runs the same expressions in the same order.
+/// The force kernel at W = sizeof(V) / sizeof(double) lanes, writing
+/// particles.size() values to each of fx, fy and fz. Instantiated once per
+/// width, each inside the function that enables its instruction set, so
+/// every width runs the same expressions in the same order.
 template <class V, class I>
 [[gnu::always_inline]] inline void forces_body(
     std::span<const Particle> particles, const Mol3dGhosts& ghosts,
-    const Mol3dConfig& config, Mol3dForces& out) {
+    const Mol3dConfig& config, double* fx, double* fy, double* fz) {
   constexpr std::size_t W = sizeof(V) / sizeof(double);
+  static_assert(kRowChunk % W == 0);
   const double box[3] = {static_cast<double>(config.cells_x),
                          static_cast<double>(config.cells_y),
                          static_cast<double>(config.cells_z)};
@@ -106,46 +122,40 @@ template <class V, class I>
   const double r2_min = 0.25 * sigma2;
 
   const std::size_t n = particles.size();
-  std::vector<double>& fx = out.fx;
-  std::vector<double>& fy = out.fy;
-  std::vector<double>& fz = out.fz;
-  fx.assign(n, 0.0);
-  fy.assign(n, 0.0);
-  fz.assign(n, 0.0);
+  std::fill_n(fx, n, 0.0);
+  std::fill_n(fy, n, 0.0);
+  std::fill_n(fz, n, 0.0);
 
-  ForceScratch& s = force_scratch();
+  // Positions: the particles, then every ghost in (side, k) order, then
+  // W − 1 padding slots so a W-lane pass may start at any index.
   std::size_t end = n;
   for (const auto& side : ghosts) end += side.size() / 3;
-  // A row writes each lane at the hit cursor before it knows whether the
-  // lane hit, and evaluates f/r up to W − 1 entries past the last hit:
-  // end + W − 1 slots cover both, as they cover the padded positions.
-  for (auto* v : {&s.x, &s.y, &s.z, &s.dx, &s.dy, &s.dz, &s.r2, &s.f})
-    v->resize(end + W - 1);
-  s.hits.resize(end + W - 1);
+  StackBuffer<double, kStackPositions> xs(end + W - 1), ys(end + W - 1),
+      zs(end + W - 1);
+  double* const x = xs.data();
+  double* const y = ys.data();
+  double* const z = zs.data();
   for (std::size_t i = 0; i < n; ++i) {
-    s.x[i] = particles[i].x;
-    s.y[i] = particles[i].y;
-    s.z[i] = particles[i].z;
+    x[i] = particles[i].x;
+    y[i] = particles[i].y;
+    z[i] = particles[i].z;
   }
   std::size_t k = n;
   for (const auto& side : ghosts)
     for (std::size_t t = 0; t + 2 < side.size(); t += 3, ++k) {
-      s.x[k] = side[t];
-      s.y[k] = side[t + 1];
-      s.z[k] = side[t + 2];
+      x[k] = side[t];
+      y[k] = side[t + 1];
+      z[k] = side[t + 2];
     }
-  for (std::size_t p = end; p < end + W - 1; ++p)
-    s.x[p] = s.y[p] = s.z[p] = 0.0;
+  for (std::size_t p = end; p < end + W - 1; ++p) x[p] = y[p] = z[p] = 0.0;
 
-  const double* const x = s.x.data();
-  const double* const y = s.y.data();
-  const double* const z = s.z.data();
-  double* const dx_j = s.dx.data();
-  double* const dy_j = s.dy.data();
-  double* const dz_j = s.dz.data();
-  double* const hit_r2 = s.r2.data();
-  double* const hit_f = s.f.data();
-  std::size_t* const hit_j = s.hits.data();
+  // One chunk of a row: its displacements by offset from the chunk's
+  // first index, and its hits in index order (r², f/r and the index). A
+  // pass writes each lane at the hit cursor before it knows whether the
+  // lane hit, and f/r is evaluated up to W − 1 entries past the last hit.
+  double dx_c[kRowChunk], dy_c[kRowChunk], dz_c[kRowChunk];
+  double hit_r2[kRowChunk + W - 1], hit_f[kRowChunk + W - 1];
+  std::size_t hit_j[kRowChunk];
 
   V box_x{}, box_y{}, box_z{}, rc2_v{}, r2_min_v{}, sigma2_v{}, eps24_v{};
   splat(box_x, box[0]);
@@ -157,11 +167,11 @@ template <class V, class I>
   splat(eps24_v, 24.0 * config.epsilon);
   const V half_x = 0.5 * box_x, half_y = 0.5 * box_y, half_z = 0.5 * box_z;
 
-  // Row m pairs particle m with every later particle and every ghost. A
-  // W-lane distance pass stores the displacements by index, writes each
-  // lane's r² and index at the hit cursor and advances it by the lane's
-  // hit mask; f/r is then evaluated W hits at a time, and the forces
-  // summed in index order.
+  // Row m pairs particle m with every later particle and every ghost,
+  // kRowChunk indices at a time. A W-lane distance pass stores the
+  // displacements by offset, writes each lane's r² and index at the hit
+  // cursor and advances it by the lane's hit mask; f/r is then evaluated
+  // W hits at a time, and the forces summed in index order.
   // Particle m's sum thus takes −c(i, m) for i < m (from earlier rows),
   // then +c(m, j) for j > m, then the ghosts in (side, k) order: the
   // scalar pair loop's order.
@@ -170,59 +180,66 @@ template <class V, class I>
     splat(px, x[m]);
     splat(py, y[m]);
     splat(pz, z[m]);
-    std::size_t hits = 0;
-    for (std::size_t j = m + 1; j < end; j += W) {
-      V dx{}, dy{}, dz{};
-      std::memcpy(&dx, x + j, sizeof dx);
-      std::memcpy(&dy, y + j, sizeof dy);
-      std::memcpy(&dz, z + j, sizeof dz);
-      dx = px - dx;
-      dy = py - dy;
-      dz = pz - dz;
-      min_image<V, I>(dx, box_x, half_x);
-      min_image<V, I>(dy, box_y, half_y);
-      min_image<V, I>(dz, box_z, half_z);
-      const V r2 = dx * dx + dy * dy + dz * dz;
-      std::memcpy(dx_j + j, &dx, sizeof dx);
-      std::memcpy(dy_j + j, &dy, sizeof dy);
-      std::memcpy(dz_j + j, &dz, sizeof dz);
-      // !(r2 >= rc2), not r2 < rc2: a NaN distance counts, as it always has.
-      const I hit = ~(r2 >= rc2_v);
-      for (std::size_t l = 0; l < W; ++l) {
-        hit_r2[hits] = r2[l];
-        hit_j[hits] = j + l;
-        hits += static_cast<std::size_t>(hit[l] & 1);
-      }
-    }
-    // Lanes past `end` read padding, which may count as hits; being the
-    // last lanes of the pass, they are the last entries, so drop them.
-    while (hits > 0 && hit_j[hits - 1] >= end) --hits;
-
-    for (std::size_t h = 0; h < hits; h += W) {
-      V r2{};
-      std::memcpy(&r2, hit_r2 + h, sizeof r2);
-      // std::max(r2, r2_min) is (r2 < r2_min) ? r2_min : r2.
-      const I low = r2 < r2_min_v;
-      const I clamped = (low & __builtin_bit_cast(I, r2_min_v)) |
-                        (~low & __builtin_bit_cast(I, r2));
-      r2 = __builtin_bit_cast(V, clamped);
-      const V s2 = sigma2_v / r2;
-      const V s6 = s2 * s2 * s2;
-      const V f = eps24_v * (2.0 * s6 * s6 - s6) / r2;
-      std::memcpy(hit_f + h, &f, sizeof f);
-    }
-
     double fxm = fx[m], fym = fy[m], fzm = fz[m];
-    for (std::size_t h = 0; h < hits; ++h) {
-      const std::size_t j = hit_j[h];
-      const double f = hit_f[h];
-      fxm += f * dx_j[j];
-      fym += f * dy_j[j];
-      fzm += f * dz_j[j];
-      if (j < n) {  // an own particle takes the opposite force
-        fx[j] -= f * dx_j[j];
-        fy[j] -= f * dy_j[j];
-        fz[j] -= f * dz_j[j];
+    for (std::size_t first = m + 1; first < end; first += kRowChunk) {
+      const std::size_t last = std::min(first + kRowChunk, end);
+      std::size_t hits = 0;
+      for (std::size_t j = first; j < last; j += W) {
+        V dx{}, dy{}, dz{};
+        std::memcpy(&dx, x + j, sizeof dx);
+        std::memcpy(&dy, y + j, sizeof dy);
+        std::memcpy(&dz, z + j, sizeof dz);
+        dx = px - dx;
+        dy = py - dy;
+        dz = pz - dz;
+        min_image<V, I>(dx, box_x, half_x);
+        min_image<V, I>(dy, box_y, half_y);
+        min_image<V, I>(dz, box_z, half_z);
+        const V r2 = dx * dx + dy * dy + dz * dz;
+        std::memcpy(dx_c + (j - first), &dx, sizeof dx);
+        std::memcpy(dy_c + (j - first), &dy, sizeof dy);
+        std::memcpy(dz_c + (j - first), &dz, sizeof dz);
+        // !(r2 >= rc2), not r2 < rc2: a NaN distance counts, as it always
+        // has.
+        const I hit = ~(r2 >= rc2_v);
+        for (std::size_t l = 0; l < W; ++l) {
+          hit_r2[hits] = r2[l];
+          hit_j[hits] = j + l;
+          hits += static_cast<std::size_t>(hit[l] & 1);
+        }
+      }
+      // Lanes past `end` read padding, which may count as hits; being the
+      // last lanes of the row, they are the last entries, so drop them.
+      while (hits > 0 && hit_j[hits - 1] >= end) --hits;
+      // The lanes past the last hit get a defined r², and are dropped.
+      std::fill_n(hit_r2 + hits, W - 1, 0.0);
+
+      for (std::size_t h = 0; h < hits; h += W) {
+        V r2{};
+        std::memcpy(&r2, hit_r2 + h, sizeof r2);
+        // std::max(r2, r2_min) is (r2 < r2_min) ? r2_min : r2.
+        const I low = r2 < r2_min_v;
+        const I clamped = (low & __builtin_bit_cast(I, r2_min_v)) |
+                          (~low & __builtin_bit_cast(I, r2));
+        r2 = __builtin_bit_cast(V, clamped);
+        const V s2 = sigma2_v / r2;
+        const V s6 = s2 * s2 * s2;
+        const V f = eps24_v * (2.0 * s6 * s6 - s6) / r2;
+        std::memcpy(hit_f + h, &f, sizeof f);
+      }
+
+      for (std::size_t h = 0; h < hits; ++h) {
+        const std::size_t j = hit_j[h];
+        const std::size_t o = j - first;
+        const double f = hit_f[h];
+        fxm += f * dx_c[o];
+        fym += f * dy_c[o];
+        fzm += f * dz_c[o];
+        if (j < n) {  // an own particle takes the opposite force
+          fx[j] -= f * dx_c[o];
+          fy[j] -= f * dy_c[o];
+          fz[j] -= f * dz_c[o];
+        }
       }
     }
     fx[m] = fxm;
@@ -231,10 +248,13 @@ template <class V, class I>
   }
 }
 
+using ForcesInto = void (*)(std::span<const Particle>, const Mol3dGhosts&,
+                            const Mol3dConfig&, double*, double*, double*);
+
 void two_lane_forces(std::span<const Particle> particles,
                      const Mol3dGhosts& ghosts, const Mol3dConfig& config,
-                     Mol3dForces& out) {
-  forces_body<V2d, V2i>(particles, ghosts, config, out);
+                     double* fx, double* fy, double* fz) {
+  forces_body<V2d, V2i>(particles, ghosts, config, fx, fy, fz);
 }
 
 #if defined(__x86_64__)
@@ -243,28 +263,53 @@ void two_lane_forces(std::span<const Particle> particles,
 [[gnu::target("avx2")]] void avx2_forces(std::span<const Particle> particles,
                                          const Mol3dGhosts& ghosts,
                                          const Mol3dConfig& config,
-                                         Mol3dForces& out) {
-  forces_body<V4d, V4i>(particles, ghosts, config, out);
+                                         double* fx, double* fy,
+                                         double* fz) {
+  forces_body<V4d, V4i>(particles, ghosts, config, fx, fy, fz);
 }
 #endif
+
+/// A width's kernel writing into `out`, resized to particles.size().
+template <ForcesInto kernel>
+void into_vectors(std::span<const Particle> particles,
+                  const Mol3dGhosts& ghosts, const Mol3dConfig& config,
+                  Mol3dForces& out) {
+  const std::size_t n = particles.size();
+  out.fx.resize(n);
+  out.fy.resize(n);
+  out.fz.resize(n);
+  kernel(particles, ghosts, config, out.fx.data(), out.fy.data(),
+         out.fz.data());
+}
+
+/// The widest kernel the host runs, picked once per process.
+ForcesInto host_kernel() {
+#if defined(__x86_64__)
+  if (__builtin_cpu_supports("avx2")) return avx2_forces;
+#endif
+  return two_lane_forces;
+}
 
 }  // namespace
 
 Mol3dKernels mol3d_kernels() {
-  Mol3dKernels kernels{two_lane_forces, nullptr};
+  Mol3dKernels kernels{into_vectors<two_lane_forces>, nullptr};
 #if defined(__x86_64__)
-  if (__builtin_cpu_supports("avx2")) kernels.avx2 = avx2_forces;
+  if (__builtin_cpu_supports("avx2")) kernels.avx2 = into_vectors<avx2_forces>;
 #endif
   return kernels;
 }
 
 void mol3d_forces(std::span<const Particle> particles, const Mol3dGhosts& ghosts,
+                  const Mol3dConfig& config, double* fx, double* fy,
+                  double* fz) {
+  static const ForcesInto kernel = host_kernel();
+  kernel(particles, ghosts, config, fx, fy, fz);
+}
+
+void mol3d_forces(std::span<const Particle> particles, const Mol3dGhosts& ghosts,
                   const Mol3dConfig& config, Mol3dForces& out) {
-  static const Mol3dForcesFn kernel = [] {
-    const Mol3dKernels kernels = mol3d_kernels();
-    return kernels.avx2 != nullptr ? kernels.avx2 : kernels.two_lane;
-  }();
-  kernel(particles, ghosts, config, out);
+  into_vectors<mol3d_forces>(particles, ghosts, config, out);
 }
 
 void Mol3dConfig::validate() const {
@@ -429,10 +474,13 @@ void Mol3dChare::execute(Message& msg) {
                                           << msg.tag << ") for iteration "
                                           << msg.data[0] << " while at "
                                           << iter_);
-  compute_pending_ = false;
+  if (!compute_.started()) start_compute();  // run without on_task_start
+  compute_.join();
+  compute_pending_ = false;  // not before the join: the work's check reads it
+  particles_ = std::exchange(pending_.cell, {});
+  staged_ = pending_.staged;
 
   IterSlot& s = slot(iter_);
-  compute_forces_and_integrate(s);
   // Freed, not kept: a kept buffer would hold on to the largest payload
   // its face ever sent (docs/applications.md). `= {}` would pick the
   // initializer-list assignment, which keeps the capacity.
@@ -468,20 +516,32 @@ void Mol3dChare::maybe_trigger_compute() {
   }
 }
 
-void Mol3dChare::compute_forces_and_integrate(const IterSlot& s) {
+void Mol3dChare::on_task_start(const Message& msg) {
+  if (msg.tag == kMolCompute) start_compute();
+}
+
+void Mol3dChare::start_compute() {
+  // The cell's particles for this iteration: its own, then the ones its
+  // neighbours handed over. One vector of exactly that size per
+  // iteration, which the integrator rearranges in place, so a cell keeps
+  // no capacity beyond its last iteration's particles. It is allocated
+  // here, on the engine thread, and so is every other buffer a warm cell
+  // allocates.
+  std::size_t arriving = 0;
+  for (const auto& leavers : slot(iter_).leavers) arriving += leavers.size() / 6;
+  pending_.cell.reserve(particles_.size() + arriving);
+  compute_.start([this] { compute_forces_and_integrate(); });
+}
+
+void Mol3dChare::compute_forces_and_integrate() {
   const double box[3] = {static_cast<double>(config_.cells_x),
                          static_cast<double>(config_.cells_y),
                          static_cast<double>(config_.cells_z)};
   CLB_CHECK_MSG(staged_[6] == staged_[0],
                 "compute with leavers not yet sent: " << debug_state());
-  // The cell's particles for this iteration: its own, then the ones its
-  // neighbours handed over, in arrival order. One vector of exactly that
-  // size per iteration, which the integrator rearranges in place, so a
-  // cell keeps no capacity beyond its last iteration's particles.
-  std::size_t arriving = 0;
-  for (const auto& leavers : s.leavers) arriving += leavers.size() / 6;
-  std::vector<Particle> cell;
-  cell.reserve(particles_.size() + arriving);
+  // The own particles, then the arriving ones in arrival order.
+  const IterSlot& s = slot(iter_);
+  std::vector<Particle>& cell = pending_.cell;
   cell.insert(cell.end(), particles_.begin(), particles_.end());
   for (int k = 0; k < s.count; ++k) {
     const std::span<const double> leavers =
@@ -491,41 +551,50 @@ void Mol3dChare::compute_forces_and_integrate(const IterSlot& s) {
                       leavers[off + 3], leavers[off + 4], leavers[off + 5]});
   }
 
-  thread_local Mol3dForces forces;
-  mol3d_forces(cell, s.ghosts, config_, forces);
   const std::size_t n = cell.size();
+  StackBuffer<double, kStackParticles> fx(n), fy(n), fz(n);
+  mol3d_forces(cell, s.ghosts, config_, fx.data(), fy.data(), fz.data());
 
   // Symplectic Euler, then periodic wrap and leaver detection. On the
   // final iteration nothing is staged: there is no further send phase, so
-  // staged particles would be orphaned. The leavers wait in per-face
-  // scratch, one per host thread like the force scratch, then go behind
-  // the particles that stay, face by face.
+  // staged particles would be orphaned.
   const bool stage_leavers = iter_ + 1 < config_.iterations;
-  thread_local std::array<std::vector<Particle>, 6> leaving;
-  std::size_t kept = 0;
+  StackBuffer<signed char, kStackParticles> side_of(n);
+  std::array<std::size_t, 6> leaving{};
   for (std::size_t i = 0; i < n; ++i) {
-    Particle p = cell[i];
-    p.vx += forces.fx[i] * config_.dt;
-    p.vy += forces.fy[i] * config_.dt;
-    p.vz += forces.fz[i] * config_.dt;
+    Particle& p = cell[i];
+    p.vx += fx.data()[i] * config_.dt;
+    p.vy += fy.data()[i] * config_.dt;
+    p.vz += fz.data()[i] * config_.dt;
     p.x = wrap(p.x + p.vx * config_.dt, box[0]);
     p.y = wrap(p.y + p.vy * config_.dt, box[1]);
     p.z = wrap(p.z + p.vz * config_.dt, box[2]);
     const int side = stage_leavers ? side_of_leaver(p) : -1;
+    side_of.data()[i] = static_cast<signed char>(side);
+    if (side >= 0) ++leaving[static_cast<std::size_t>(side)];
+  }
+  // The particles that stay move to the front, in index order; the
+  // leavers wait on the stack, then go behind them, grouped by face in
+  // index order.
+  std::array<std::size_t, 7>& staged = pending_.staged;
+  staged[0] = n;
+  for (const std::size_t count : leaving) staged[0] -= count;
+  for (std::size_t side = 0; side < 6; ++side)
+    staged[side + 1] = staged[side] + leaving[side];
+  StackBuffer<Particle, 32> leavers(n - staged[0]);
+  std::array<std::size_t, 6> next{};
+  for (std::size_t side = 0; side < 6; ++side)
+    next[side] = staged[side] - staged[0];
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const int side = side_of.data()[i];
     if (side < 0) {
-      cell[kept++] = p;
+      cell[kept++] = cell[i];
     } else {
-      leaving[static_cast<std::size_t>(side)].push_back(p);
+      leavers.data()[next[static_cast<std::size_t>(side)]++] = cell[i];
     }
   }
-  staged_[0] = kept;
-  for (std::size_t side = 0; side < 6; ++side) {
-    const auto at = cell.begin() + static_cast<std::ptrdiff_t>(staged_[side]);
-    std::ranges::copy(leaving[side], at);
-    staged_[side + 1] = staged_[side] + leaving[side].size();
-    leaving[side].clear();
-  }
-  particles_ = std::move(cell);
+  std::copy_n(leavers.data(), n - kept, cell.begin() + static_cast<std::ptrdiff_t>(kept));
 }
 
 int Mol3dChare::side_of_leaver(const Particle& p) const {
@@ -606,16 +675,20 @@ std::vector<Particle> mol3d_initial_particles(const Mol3dConfig& config) {
 
 void populate_mol3d(RuntimeJob& job, const Mol3dConfig& config) {
   const std::vector<Particle> all = mol3d_initial_particles(config);
-  std::vector<std::vector<Particle>> bins(
-      static_cast<std::size_t>(config.num_cells()));
-  for (const Particle& p : all) {
+  const auto bin_of = [&config](const Particle& p) {
     const int cx = std::min(static_cast<int>(p.x), config.cells_x - 1);
     const int cy = std::min(static_cast<int>(p.y), config.cells_y - 1);
     const int cz = std::min(static_cast<int>(p.z), config.cells_z - 1);
-    bins[static_cast<std::size_t>((cz * config.cells_y + cy) * config.cells_x +
-                                  cx)]
-        .push_back(p);
-  }
+    return static_cast<std::size_t>((cz * config.cells_y + cy) *
+                                        config.cells_x +
+                                    cx);
+  };
+  // Each bin is allocated once, at its exact size.
+  std::vector<std::size_t> counts(static_cast<std::size_t>(config.num_cells()));
+  for (const Particle& p : all) ++counts[bin_of(p)];
+  std::vector<std::vector<Particle>> bins(counts.size());
+  for (std::size_t b = 0; b < bins.size(); ++b) bins[b].reserve(counts[b]);
+  for (const Particle& p : all) bins[bin_of(p)].push_back(p);
   std::size_t bin = 0;
   for (int cz = 0; cz < config.cells_z; ++cz)
     for (int cy = 0; cy < config.cells_y; ++cy)

@@ -7,6 +7,7 @@
 
 #include "runtime/chare.h"
 #include "runtime/job.h"
+#include "util/offload.h"
 
 namespace cloudlb {
 
@@ -73,10 +74,16 @@ struct Mol3dForces {
 
 /// Lennard-Jones forces on `particles` from each other and from `ghosts`,
 /// using minimum-image displacements in the periodic box and
-/// config.cutoff; `out` is resized to particles.size(). Every force is
-/// bit-identical to the original scalar pair loop
+/// config.cutoff, written to fx, fy and fz, particles.size() values each.
+/// Every force is bit-identical to the original scalar pair loop
 /// (tests/support/mol3d_reference_forces.h): docs/applications.md states
-/// the summation order and expressions this relies on.
+/// the summation order and expressions this relies on. Safe to call from
+/// any number of threads at once; its scratch lives on the stack.
+void mol3d_forces(std::span<const Particle> particles, const Mol3dGhosts& ghosts,
+                  const Mol3dConfig& config, double* fx, double* fy,
+                  double* fz);
+
+/// The same, into `out`, resized to particles.size().
 void mol3d_forces(std::span<const Particle> particles, const Mol3dGhosts& ghosts,
                   const Mol3dConfig& config, Mol3dForces& out);
 
@@ -105,6 +112,8 @@ class Mol3dChare final : public Chare {
 
   void on_start() override;
   SimTime cost(const Message& msg) const override;
+  /// A compute task starts its force computation on a host worker.
+  void on_task_start(const Message& msg) override;
   void execute(Message& msg) override;
   void on_resume_sync() override;
   std::size_t footprint_bytes() const override;
@@ -138,10 +147,22 @@ class Mol3dChare final : public Chare {
     int count = 0;                       ///< faces received
   };
 
+  /// The outcome of one force computation, written off the engine thread
+  /// and adopted by execute(): the iteration's particles, integrated,
+  /// with their leavers staged behind them (as in `staged_`).
+  struct Pending {
+    std::vector<Particle> cell;
+    std::array<std::size_t, 7> staged{};
+  };
+
   void send_phase();
   void maybe_trigger_compute();
-  /// Adopts the leavers in `s`, computes forces and integrates.
-  void compute_forces_and_integrate(const IterSlot& s);
+  /// Allocates the iteration's particle vector and starts
+  /// compute_forces_and_integrate on a host worker.
+  void start_compute();
+  /// Adopts this iteration's leavers, computes forces and integrates,
+  /// into `pending_`. Reads the cell, writes nothing else.
+  void compute_forces_and_integrate();
   int side_of_leaver(const Particle& p) const;
   /// The slot of iteration `iter`: a neighbour is at most one iteration
   /// ahead, so iterations i and i + 1 never share one.
@@ -164,6 +185,10 @@ class Mol3dChare final : public Chare {
   int iter_ = 0;
   bool compute_pending_ = false;
   std::array<IterSlot, 2> slots_;
+  Pending pending_;
+  /// The running force computation. Declared last, so a cell torn down
+  /// mid-task joins it before the state it reads is destroyed.
+  Offload compute_;
 };
 
 /// Generates the deterministic clustered particle set, bins it into cells

@@ -39,6 +39,14 @@ class Chare {
   /// CPU cost the handler for `msg` will consume. Must not mutate state.
   virtual SimTime cost(const Message& msg) const = 0;
 
+  /// Called when the task for `msg` starts, right after cost(msg) has
+  /// fixed its duration; execute(msg) follows once that CPU time has been
+  /// served. A chare may start work here on another host thread
+  /// (util/offload.h) and join it in execute(): in between, its PE runs
+  /// nothing else and no LB step can start. docs/runtime.md states what
+  /// that work may read and write. Does nothing by default.
+  virtual void on_task_start(const Message& /*msg*/) {}
+
   /// Handler body; runs after `cost(msg)` CPU has been consumed.
   ///
   /// The handler owns `msg.data` while it runs: it may move the payload

@@ -242,9 +242,10 @@ void RuntimeJob::start_next_task(PeId pe) {
   }
   p.executing = true;
 
-  const Chare& target = *chares_[static_cast<std::size_t>(p.current.dest)];
+  Chare& target = *chares_[static_cast<std::size_t>(p.current.dest)];
   const SimTime cost = target.cost(p.current);
   CLB_CHECK(!cost.is_negative());
+  target.on_task_start(p.current);
   const SimTime begin = ctx_now(pe);
 
   auto on_done = [this, pe, begin, cost] { finish_task(pe, begin, cost); };

@@ -8,11 +8,14 @@ namespace cloudlb {
 ///
 /// Events scheduled for the same timestamp execute in scheduling order
 /// (FIFO tie-break by sequence number), so a scenario is bit-reproducible
-/// across runs and platforms. Single-threaded by design: the parallelism
-/// being studied lives *inside* the simulated machine, not in the host —
-/// host-level parallelism runs whole independent Simulators side by side
-/// (util/thread_pool.h, bench::ParallelGrid) or shards one scenario
-/// across EngineCores behind ShardedSimulator (docs/sharded-engine.md).
+/// across runs and platforms. The event order is single-threaded by
+/// design: the parallelism being studied lives *inside* the simulated
+/// machine, not in the host — host-level parallelism runs whole
+/// independent Simulators side by side (util/thread_pool.h,
+/// bench::ParallelGrid), shards one scenario across EngineCores behind
+/// ShardedSimulator (docs/sharded-engine.md), or runs a handler's kernel
+/// on a host worker between its task's start and completion events
+/// (util/offload.h, docs/runtime.md), which adds and reorders no event.
 ///
 /// The whole mechanism — slot arena, 4-ary heap, lazy cancellation, trace
 /// hook, the strict clock — lives in EngineCore (sim/engine_core.h);

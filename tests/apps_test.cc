@@ -582,6 +582,42 @@ TEST(Mol3dTest, ParticleCountConservedThroughRun) {
   EXPECT_EQ(total, 400u);
 }
 
+TEST(Mol3dTest, DenseCellsRunPastTheStackBuffers) {
+  // About 160 particles a cell: the force output, the leaver staging and
+  // the kernel's positions all take their heap buffers. The run keeps
+  // every particle, inside the box, and repeats bit for bit.
+  Mol3dConfig config = small_mol(3);
+  config.num_particles = 36 * 160;
+  const auto end_state = [&config] {
+    AppRig rig{4};
+    populate_mol3d(*rig.job, config);
+    rig.run();
+    std::vector<Particle> all;
+    for (std::size_t c = 0; c < rig.job->num_chares(); ++c) {
+      const auto& cell = dynamic_cast<const Mol3dChare&>(
+          rig.job->chare(static_cast<ChareId>(c)));
+      EXPECT_EQ(cell.iteration(), 3);
+      all.insert(all.end(), cell.particles().begin(), cell.particles().end());
+    }
+    return all;
+  };
+  const std::vector<Particle> first = end_state();
+  ASSERT_EQ(first.size(), static_cast<std::size_t>(config.num_particles));
+  for (const Particle& p : first) {
+    EXPECT_TRUE(p.x >= 0.0 && p.x < config.cells_x);
+    EXPECT_TRUE(p.y >= 0.0 && p.y < config.cells_y);
+    EXPECT_TRUE(p.z >= 0.0 && p.z < config.cells_z);
+  }
+  const std::vector<Particle> second = end_state();
+  ASSERT_EQ(second.size(), first.size());
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(second[i].x),
+              std::bit_cast<std::uint64_t>(first[i].x));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(second[i].vx),
+              std::bit_cast<std::uint64_t>(first[i].vx));
+  }
+}
+
 TEST(Mol3dTest, FinishedCellsHoldNoGhostPayloads) {
   // A cell frees the payloads it took over once their iteration is
   // computed: a kept buffer would hold the largest payload its face ever
@@ -774,6 +810,43 @@ TEST(Mol3dTest, ForcesMatchScalarReferenceOnRandomCellsAvx2) {
   const Mol3dForcesFn avx2 = mol3d_kernels().avx2;
   if (avx2 == nullptr) GTEST_SKIP() << "the host cannot run AVX2";
   expect_random_cells_match_reference(avx2);
+}
+
+/// Cells past the kernel's stack buffers: 150 to 300 particles and 40 to
+/// 80 ghosts per face put the positions on the heap and every row across
+/// several chunks.
+void expect_big_cells_match_reference(Mol3dForcesFn kernel) {
+  const Mol3dConfig config;
+  Mol3dForces out;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng{seed};
+    ForceInput in;
+    const auto n = rng.uniform_int(150, 300);
+    for (std::int64_t i = 0; i < n; ++i)
+      in.add_particle(1.0 + rng.next_double(), 1.0 + rng.next_double(),
+                      1.0 + rng.next_double());
+    for (std::size_t side = 0; side < 6; ++side) {
+      const auto count = rng.uniform_int(40, 80);
+      for (std::int64_t k = 0; k < count; ++k) {
+        double pos[3] = {1.0 + rng.next_double(), 1.0 + rng.next_double(),
+                         1.0 + rng.next_double()};
+        pos[side / 2] += side % 2 == 0 ? -1.0 : 1.0;
+        in.add_ghost(side, pos[0], pos[1], pos[2]);
+      }
+    }
+    expect_forces_match_reference(kernel, in, config, out,
+                                  "big cell, seed " + std::to_string(seed));
+  }
+}
+
+TEST(Mol3dTest, ForcesMatchScalarReferencePastTheStackBuffers) {
+  expect_big_cells_match_reference(mol3d_kernels().two_lane);
+}
+
+TEST(Mol3dTest, ForcesMatchScalarReferencePastTheStackBuffersAvx2) {
+  const Mol3dForcesFn avx2 = mol3d_kernels().avx2;
+  if (avx2 == nullptr) GTEST_SKIP() << "the host cannot run AVX2";
+  expect_big_cells_match_reference(avx2);
 }
 
 void expect_edge_cases_match_reference(Mol3dForcesFn kernel) {

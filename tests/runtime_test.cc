@@ -15,6 +15,7 @@
 #include "runtime/network.h"
 #include "sim/simulator.h"
 #include "util/check.h"
+#include "util/offload.h"
 #include "vm/interferer.h"
 #include "vm/virtual_machine.h"
 
@@ -553,6 +554,69 @@ TEST(RuntimeJobTest, HandlerTakesItsPayloadOver) {
   EXPECT_TRUE(keeper->first.empty());
   EXPECT_GE(keeper->first.capacity(), 64u);
   EXPECT_EQ(keeper->second.capacity(), 0u);
+}
+
+// ------------------------------------------------ work off the engine thread
+
+/// Three self-tasks; the third finds its state corrupt. With `offload`
+/// that check runs on a host worker, started by on_task_start and joined
+/// by execute; without, execute runs it inline.
+class OffloadingChare final : public Chare {
+ public:
+  explicit OffloadingChare(bool offload) : offload_{offload} {}
+
+  void on_start() override { send(id(), 0); }
+  SimTime cost(const Message&) const override { return SimTime::micros(7); }
+  void on_task_start(const Message&) override {
+    if (offload_) work_.start([this] { step(); });
+  }
+  void execute(Message&) override {
+    if (offload_) {
+      work_.join();
+    } else {
+      step();
+    }
+    if (done_ == 3) {
+      finish();
+    } else {
+      send(id(), 0);
+    }
+  }
+
+ private:
+  void step() {
+    CLB_CHECK_MSG(done_ < 2, "cell state corrupt after " << done_ << " steps");
+    ++done_;
+  }
+
+  bool offload_;
+  int done_ = 0;
+  Offload work_;
+};
+
+TEST(RuntimeJobTest, OffloadedWorkFailsAsAnInlineHandlerWould) {
+  const auto failure = [](bool offload) {
+    Rig rig{1};
+    static_cast<void>(
+        rig.job->add_chare(std::make_unique<OffloadingChare>(offload)));
+    rig.job->start();
+    try {
+      rig.sim.run();
+    } catch (const CheckFailure& e) {
+      return std::pair{std::string{e.what()}, rig.sim.now()};
+    }
+    ADD_FAILURE() << "no CheckFailure with offload=" << offload;
+    return std::pair{std::string{}, SimTime::zero()};
+  };
+  const auto inline_failure = failure(false);
+  const auto offloaded_failure = failure(true);
+  EXPECT_NE(inline_failure.first.find("cell state corrupt after 2 steps"),
+            std::string::npos)
+      << inline_failure.first;
+  // The same check, at the same simulated instant: the third task's end.
+  EXPECT_EQ(offloaded_failure.first, inline_failure.first);
+  EXPECT_EQ(offloaded_failure.second, inline_failure.second);
+  EXPECT_GT(inline_failure.second, SimTime::micros(3 * 7));
 }
 
 // ------------------------------------------------------------ reductions

@@ -27,6 +27,7 @@
 #include "runtime/sharded_runtime.h"
 #include "sim/sharded_simulator.h"
 #include "sim/simulator.h"
+#include "util/offload.h"
 #include "util/thread_pool.h"
 #include "util/validate.h"
 #include "vm/virtual_machine.h"
@@ -376,6 +377,29 @@ TEST(SimAllocTest, ShardedWindowsAreAllocationFree) {
   }
 }
 
+TEST(SimAllocTest, WarmOffloadStartAndJoinAreAllocationFree) {
+  // Handing work to the pool and joining it (each join either waits for
+  // a worker or runs the work itself) allocates nothing once the pool is
+  // up: the callable rides inline in the handle, and the queue is a
+  // fixed ring.
+  Offload first, second;
+  std::uint64_t a = 0, b = 0;
+  first.start([&a] { ++a; });  // starts the pool, unmeasured
+  first.join();
+
+  probe_arm();
+  for (int round = 0; round < 1000; ++round) {
+    first.start([&a] { ++a; });
+    second.start([&b] { b += 2; });
+    first.join();
+    second.join();
+  }
+  const std::size_t allocs = probe_disarm();
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(a, 1001u);
+  EXPECT_EQ(b, 2000u);
+}
+
 /// Arms the probe when chare 0, an `App`, starts iteration `from` and
 /// disarms it when it starts iteration `to`, counting the tasks run in
 /// between and, of those, the ones tagged `counted_tag`.
@@ -458,10 +482,11 @@ TEST(SimAllocTest, WarmMol3dJobAllocatesOnlyItsSendPayloads) {
   // received payloads change hands instead of being copied, its two
   // iteration slots hold no storage of their own, its compute message
   // comes from the PE's recycled payloads, and the force kernel and the
-  // leaver staging run on thread-local scratch. What is left per force
-  // computation is the six payloads its send phase builds and the
-  // integrator's exact-size particle vector. The window is the stencil
-  // test's, for the same per-iteration tallies.
+  // leaver staging keep their scratch on the stack of whichever thread
+  // runs them. What is left per force computation is the six payloads its
+  // send phase builds and the integrator's exact-size particle vector,
+  // allocated on the engine thread when the compute starts. The window is
+  // the stencil test's, for the same per-iteration tallies.
   ValidationScope validation{false};
   MachineConfig mc;
   mc.nodes = 2;

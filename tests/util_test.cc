@@ -1,14 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "util/check.h"
 #include "util/function_ref.h"
 #include "util/histogram.h"
+#include "util/offload.h"
 #include "util/rng.h"
 #include "util/sim_time.h"
 #include "util/small_function.h"
@@ -575,6 +579,161 @@ TEST(WorkerTeamTest, RunRoundBorrowsTheClosureWithoutCopying) {
   EXPECT_EQ(wide.lanes[0], 1);
   EXPECT_EQ(wide.lanes[1], 2);
   EXPECT_EQ(wide.lanes[2], 3);
+}
+
+
+// ---------------------------------------------------------------- Offload
+
+/// Occupies every pool worker until destroyed, so work started meanwhile
+/// stays queued.
+class BusyWorkers {
+ public:
+  BusyWorkers() : blockers_(static_cast<std::size_t>(Offload::workers())) {
+    for (Offload& b : blockers_) b.start([this] {
+      entered_.fetch_add(1);
+      while (!release_.load()) std::this_thread::yield();
+    });
+    while (entered_.load() < static_cast<int>(blockers_.size()))
+      std::this_thread::yield();
+  }
+  ~BusyWorkers() {
+    release_.store(true);
+    for (Offload& b : blockers_) b.join();
+  }
+  BusyWorkers(const BusyWorkers&) = delete;
+  BusyWorkers& operator=(const BusyWorkers&) = delete;
+
+ private:
+  std::atomic<int> entered_{0};
+  std::atomic<bool> release_{false};
+  std::vector<Offload> blockers_;
+};
+
+TEST(OffloadTest, JoinAfterTheWorkIsDone) {
+  Offload task;
+  EXPECT_FALSE(task.started());
+  task.join();  // an idle handle joins at once
+  std::atomic<int> runs{0};
+  task.start([&runs] { runs.fetch_add(1); });
+  EXPECT_TRUE(task.started());
+  // Without workers the work waits for join(); with them, one runs it.
+  if (Offload::workers() > 0)
+    while (runs.load() == 0) std::this_thread::yield();
+  task.join();
+  EXPECT_EQ(runs.load(), 1);
+  EXPECT_FALSE(task.started());
+  // Joined, the handle takes new work.
+  task.start([&runs] { runs.fetch_add(1); });
+  task.join();
+  EXPECT_EQ(runs.load(), 2);
+}
+
+TEST(OffloadTest, JoinRunsUnclaimedWorkItself) {
+  BusyWorkers busy;
+  std::thread::id ran_on;
+  Offload task;
+  task.start([&ran_on] { ran_on = std::this_thread::get_id(); });
+  task.join();
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+}
+
+TEST(OffloadTest, JoinRethrowsTheWorksException) {
+  Offload task;
+  task.start([] { CLB_CHECK_MSG(false, "work failed on purpose"); });
+  try {
+    task.join();
+    ADD_FAILURE() << "join swallowed the work's exception";
+  } catch (const CheckFailure& e) {
+    EXPECT_NE(std::string{e.what()}.find("work failed on purpose"),
+              std::string::npos)
+        << e.what();
+  }
+  // Rethrown once: the handle is idle and clean again.
+  EXPECT_FALSE(task.started());
+  bool ran = false;
+  task.start([&ran] { ran = true; });
+  EXPECT_NO_THROW(task.join());
+  EXPECT_TRUE(ran);
+}
+
+TEST(OffloadTest, StartingBusyHandleIsRejected) {
+  Offload task;
+  task.start([] {});
+  EXPECT_THROW(task.start([] {}), CheckFailure);
+  task.join();
+}
+
+TEST(OffloadTest, DestroyedHandleFinishesRunningWorkFirst) {
+  if (Offload::workers() == 0) GTEST_SKIP() << "no pool workers on this host";
+  std::atomic<bool> entered{false}, release{false};
+  bool finished = false;
+  auto task = std::make_unique<Offload>();
+  task->start([&] {
+    entered.store(true);
+    while (!release.load()) std::this_thread::yield();
+    finished = true;
+  });
+  while (!entered.load()) std::this_thread::yield();
+  std::thread releaser{[&release] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    release.store(true);
+  }};
+  task.reset();  // waits for the worker
+  EXPECT_TRUE(finished);
+  releaser.join();
+}
+
+TEST(OffloadTest, DestroyedHandleRunsQueuedWorkItself) {
+  BusyWorkers busy;
+  bool ran = false;
+  {
+    Offload task;
+    task.start([&ran] { ran = true; });
+  }
+  EXPECT_TRUE(ran);
+}
+
+TEST(OffloadTest, DestroyedHandleLogsTheWorksException) {
+  bool ran = false;
+  {
+    Offload task;
+    task.start([&ran] {
+      ran = true;
+      throw std::runtime_error{"never joined"};
+    });
+  }
+  EXPECT_TRUE(ran);
+}
+
+TEST(OffloadTest, ManyProducersShareThePool) {
+  // As `--jobs` grids do: several threads start and join work at once,
+  // each on its own handles, and joiners run each other's queued work.
+  constexpr int kProducers = 4;
+  constexpr int kRounds = 500;
+  constexpr int kInFlight = 8;
+  std::vector<std::uint64_t> sums(kProducers, 0);
+  {
+    std::vector<std::thread> producers;
+    for (int t = 0; t < kProducers; ++t)
+      producers.emplace_back([t, &sums] {
+        std::vector<Offload> tasks(kInFlight);
+        std::vector<std::uint64_t> out(kInFlight, 0);
+        for (int r = 0; r < kRounds; ++r) {
+          for (int k = 0; k < kInFlight; ++k) {
+            std::uint64_t* slot = &out[static_cast<std::size_t>(k)];
+            const auto v = static_cast<std::uint64_t>(r * kInFlight + k);
+            tasks[static_cast<std::size_t>(k)].start([slot, v] { *slot = v; });
+          }
+          for (int k = 0; k < kInFlight; ++k) {
+            tasks[static_cast<std::size_t>(k)].join();
+            sums[static_cast<std::size_t>(t)] += out[static_cast<std::size_t>(k)];
+          }
+        }
+      });
+    for (std::thread& p : producers) p.join();
+  }
+  const std::uint64_t n = std::uint64_t{kRounds} * kInFlight;
+  for (const std::uint64_t sum : sums) EXPECT_EQ(sum, n * (n - 1) / 2);
 }
 
 }  // namespace
